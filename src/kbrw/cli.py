@@ -173,15 +173,6 @@ def _workers(args) -> int:
     return n
 
 
-def _tilt_rho(model, tilt: str) -> float:
-    an = model.analytics()
-    rho = {"star": an.rho_star, "plus": an.rho_plus, "minus": an.rho_minus}.get(tilt)
-    if rho is None:
-        raise ConfigError(f"tilt {tilt!r} is not defined in the "
-                          f"{an.regime.value} regime")
-    return float(rho)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -323,10 +314,19 @@ def cmd_analyze_model(args) -> int:
 
 def cmd_walk(args) -> int:
     model = _load_model(args.model)
-    rho = _tilt_rho(model, args.tilt)
-    tw = walks.make_tilted_walk(model, rho)
     grid = _parse_grid(args.grid)
     seed = _parse_seed(args.seed)
+    if args.replicas < 1 or args.max_steps < 1:
+        raise ConfigError("replicas and max-steps must be positive")
+    try:
+        tw = walks.make_tilted_walk(model, args.tilt)
+        # the grid and the tilt's drift are checked before the first draw
+        visit = walks.renewal_function(tw, grid, args.replicas,
+                                       rng_for_block(seed, 0),
+                                       method="VisitCount",
+                                       max_steps=args.max_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     flags = {"tilt": args.tilt, "grid": [float(g) for g in grid],
              "replicas": args.replicas, "probe_t": args.probe_t,
@@ -335,10 +335,6 @@ def cmd_walk(args) -> int:
                               Path(args.out))
     run = Run(config)
 
-    visit = walks.renewal_function(tw, grid, args.replicas,
-                                   rng_for_block(seed, 0),
-                                   method="VisitCount",
-                                   max_steps=args.max_steps)
     ladder = walks.renewal_function(tw, grid, args.replicas,
                                     rng_for_block(seed, 1),
                                     method="LadderDuality",
@@ -375,7 +371,7 @@ def cmd_walk(args) -> int:
         "kind": "walk",
         "model": _model_doc(model),
         "tilt": args.tilt,
-        "rho": rho,
+        "rho": tw.rho,
         "grid": [float(g) for g in grid],
         "max_method_z": float(np.max(z)) if grid.size else 0.0,
         "max_closed_form_rel_err": rel_err,
@@ -401,6 +397,8 @@ def cmd_spine(args) -> int:
     an = model.analytics()
     if args.x < 0:
         raise ConfigError("start must sit at or above the barrier")
+    if args.replicas < 1 or args.renewal_replicas < 1:
+        raise ConfigError("replicas and renewal-replicas must be positive")
 
     flags = {"x": args.x, "t": args.t, "replicas": args.replicas,
              "band_eps": args.band_eps, "naive_replicas": args.naive_replicas,
@@ -411,14 +409,13 @@ def cmd_spine(args) -> int:
     run = Run(config)
 
     renewal = None
-    if args.renewal_grid:
-        rho = an.rho_star if an.regime is Regime.CRITICAL else an.rho_plus
-        tw = walks.make_tilted_walk(model, rho)
-        renewal = walks.renewal_function(tw, _parse_grid(args.renewal_grid),
-                                         args.renewal_replicas,
-                                         rng_for_block(seed, 1),
-                                         method="LadderDuality")
     try:
+        if args.renewal_grid:
+            tw = walks.make_tilted_walk(model, an.regime_tilt())
+            renewal = walks.renewal_function(tw, _parse_grid(args.renewal_grid),
+                                             args.renewal_replicas,
+                                             rng_for_block(seed, 1),
+                                             method="LadderDuality")
         est = spines.estimate_survival_spine(model, args.x, args.t,
                                              args.replicas,
                                              rng_for_block(seed, 0),

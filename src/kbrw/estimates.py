@@ -53,42 +53,6 @@ def from_samples(x: np.ndarray, label: str = "", truncated_fraction: float = 0.0
     return EstimateWithCI(m, se, float(n), label=label, truncated_fraction=truncated_fraction)
 
 
-def from_weighted(values: np.ndarray, weights: np.ndarray, label: str = "",
-                  truncated_fraction: float = 0.0) -> EstimateWithCI:
-    """Self-normalized weighted mean with delta-method standard error."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    sw = w.sum()
-    if sw <= 0:
-        return EstimateWithCI(math.nan, math.nan, 0.0, label=label,
-                              truncated_fraction=truncated_fraction)
-    m = float((w * v).sum() / sw)
-    resid = w * (v - m)
-    se = float(np.sqrt((resid ** 2).sum()) / sw)
-    ess = float(sw ** 2 / (w ** 2).sum())
-    return EstimateWithCI(m, se, ess, label=label, truncated_fraction=truncated_fraction)
-
-
-def from_mean_weights(weighted_terms: np.ndarray, n_total: int, label: str = "",
-                      truncated_fraction: float = 0.0) -> EstimateWithCI:
-    """Unnormalized importance-sampling mean: (1/n) sum of weighted terms.
-
-    ``weighted_terms`` holds the nonzero terms only; zeros are implied up to
-    ``n_total``.
-    """
-    t = np.asarray(weighted_terms, dtype=float)
-    n = int(n_total)
-    if n == 0:
-        return EstimateWithCI(math.nan, math.nan, 0.0, label=label)
-    s = float(t.sum())
-    s2 = float((t ** 2).sum())
-    m = s / n
-    var = max(s2 / n - m * m, 0.0)
-    se = math.sqrt(var / n)
-    ess = (s * s / s2) if s2 > 0 else 0.0
-    return EstimateWithCI(m, se, ess, label=label, truncated_fraction=truncated_fraction)
-
-
 def binomial_estimate(k: int, n: int, label: str = "",
                       truncated_fraction: float = 0.0) -> EstimateWithCI:
     if n <= 0:

@@ -267,7 +267,7 @@ class ModelAnalytics:
             return self.rho_star
         if self.regime is Regime.SUBCRITICAL:
             return self.rho_plus
-        raise ValueError("no regime tilt for out-of-scope models")
+        raise ValueError(f"no default tilt in the {self.regime.value} regime")
 
 
 class _ModelBase:

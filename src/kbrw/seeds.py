@@ -8,41 +8,12 @@ results are byte-identical for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SEED_SCHEME = "seedseq-pcg64-blocks-v1"
-
-# default number of replicas vectorized together under one stream
-DEFAULT_BLOCK = 1 << 16
 
 
 def rng_for_block(seed: int, block: int) -> np.random.Generator:
     """Independent generator for block ``block`` of a run seeded with ``seed``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(block),))
     return np.random.default_rng(ss)
-
-
-@dataclass(frozen=True)
-class BlockTask:
-    block: int
-    offset: int
-    count: int
-
-
-def block_plan(n_replicas: int, block_size: int = DEFAULT_BLOCK) -> list[BlockTask]:
-    """Static replica -> block assignment; replica i lives in block i // block_size."""
-    if n_replicas < 0:
-        raise ValueError("n_replicas must be nonnegative")
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    tasks = []
-    off = 0
-    b = 0
-    while off < n_replicas:
-        cnt = min(block_size, n_replicas - off)
-        tasks.append(BlockTask(block=b, offset=off, count=cnt))
-        off += cnt
-        b += 1
-    return tasks

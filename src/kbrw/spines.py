@@ -17,19 +17,14 @@ import numpy as np
 
 from . import trees
 from .estimates import EstimateWithCI, from_samples
-from .models import IidModel, PatternModel, Regime, log_laplace, size_biased_pmf
+from .models import IidModel, PatternModel, log_laplace, size_biased_pmf
 from .walks import RenewalEstimate, make_tilted_walk, passage_ensemble
 
 
 def _regime_rho(model, rho):
-    an = model.analytics()
     if rho is not None:
         return float(rho)
-    if an.regime is Regime.CRITICAL:
-        return an.rho_star
-    if an.regime is Regime.SUBCRITICAL:
-        return an.rho_plus
-    raise ValueError(f"no default tilt in the {an.regime.value} regime")
+    return model.analytics().regime_tilt()
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,7 @@ def estimate_constants(model, regime, n_replicas: int, rng, *,
         out["c_star_sub"].truncated_fraction = tf
 
         twp = make_tilted_walk(model, rho_p)
-        sup = twp.step.support()
-        if sup is not None:
-            gamma = cramer_gamma(sup, twp.step.probs())
-        else:
-            gamma = 2.0 * twp.drift / twp.step.sigma ** 2
+        gamma = cramer_gamma(twp.step)
         b = cutoff if cutoff is not None else 40.0 / gamma
         pens = passage_ensemble(twp, 0.0, n_replicas, rng,
                                 lower=0.0, upper=b, max_steps=max_steps)

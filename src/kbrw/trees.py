@@ -305,15 +305,6 @@ def exploration_check(record: TreeRecord):
 
 
 @dataclass
-class MartingaleSample:
-    generation_n: int
-    additive_W_n: float
-    derivative_dW_n: float
-    M_rho_minus_n: float | None
-    extinct: bool
-
-
-@dataclass
 class MartingaleFlow:
     generations: np.ndarray
     W: np.ndarray            # (n_replicas, n_max+1), tilt rho_W
@@ -325,17 +316,6 @@ class MartingaleFlow:
     rho_star: float
     rho_minus: float | None
     pruned_mass_fraction: float
-
-    def trajectory(self, i: int) -> list:
-        out = []
-        for g in self.generations:
-            out.append(MartingaleSample(
-                generation_n=int(g),
-                additive_W_n=float(self.W[i, g]),
-                derivative_dW_n=float(self.dW[i, g]),
-                M_rho_minus_n=None if self.M is None else float(self.M[i, g]),
-                extinct=bool(self.extinct[i]) and self.W[i, g] == 0.0))
-        return out
 
 
 def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
@@ -366,14 +346,7 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
     values are not exact credits there; use it at criticality only.
     """
     an = model.analytics()
-    if an.regime is Regime.CRITICAL:
-        rho_w, rho_minus = an.rho_star, None
-    elif an.regime is Regime.SUBCRITICAL:
-        rho_w, rho_minus = an.rho_plus, an.rho_minus
-    else:
-        raise ValueError(f"martingales defined for critical/subcritical, "
-                         f"got {an.regime.value}")
-    rho_star = an.rho_star
+    rho_w, rho_minus, rho_star = an.regime_tilt(), an.rho_minus, an.rho_star
     rho_ref = rho_minus if rho_minus is not None else rho_star
 
     W = np.zeros((n_replicas, n_max + 1))
@@ -437,15 +410,6 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
                           pruned_mass_fraction=pruned_mass / max(total_mass, 1e-300))
 
 
-def martingale_trajectory(model, x: float, n_max: int, rng, *,
-                          prune_eps: float = 1e-8,
-                          max_particles: int = 10 ** 6) -> list:
-    """Single-replica convenience wrapper around martingale_levels."""
-    flow = martingale_levels(model, x, n_max, 1, rng, prune_eps=prune_eps,
-                             max_particles=max_particles)
-    return flow.trajectory(0)
-
-
 def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
                              rho=None, prune_eps: float = 1e-3,
                              max_generations: int = 300,
@@ -461,9 +425,8 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
     like 2^g until paths fall below the pruning line, so every extra decade
     of eps multiplies the work.
     """
-    an = model.analytics()
     if rho is None:
-        rho = an.rho_star if an.regime is Regime.CRITICAL else an.rho_plus
+        rho = model.analytics().regime_tilt()
     psi, dpsi, _ = log_laplace(model, rho)
     if abs(psi) > 1e-8:
         raise ValueError("stopped line mass needs a mass-1 tilt")
@@ -532,9 +495,8 @@ class YaglomDataset:
 def yaglom_samples(model, x: float, t: float, n_replicas: int, rng,
                    caps: SimCaps = SimCaps(), *, rho=None) -> YaglomDataset:
     """Overshoot datasets conditioned on reaching level t in the killed tree."""
-    an = model.analytics()
     if rho is None:
-        rho = an.rho_star if an.regime is Regime.CRITICAL else an.rho_plus
+        rho = model.analytics().regime_tilt()
     forest = simulate_killed_forest(model, x, [t], n_replicas, rng, caps,
                                     collect_overshoots=True)
     h_all = forest.H[0]

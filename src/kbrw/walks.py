@@ -13,7 +13,9 @@ S_j >= 0).
 
 All simulators take an explicit numpy Generator and are deterministic given
 it; replica-level parallelism is layered on top by the command-line runner
-through the block seed schedule.
+through the block seed schedule.  ``_walk_chunks`` is the only stepping loop:
+first passage, visit counting and Tanaka surgery each hand it a per-chunk
+``visit`` callback, so all three consume the stream in the same chunk order.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ class WalkPath:
     start: float
     increments: np.ndarray
     stopping_reason: StoppingReason
-    lower: float | None = None
-    upper: float | None = None
 
     @property
     def positions(self) -> np.ndarray:
@@ -53,20 +53,6 @@ class WalkPath:
         np.cumsum(self.increments, out=out[1:])
         out[1:] += self.start
         return out
-
-    @property
-    def final(self) -> float:
-        return float(self.start + self.increments.sum())
-
-    def overshoot(self) -> float:
-        if self.stopping_reason is not StoppingReason.HIT_ABOVE:
-            raise ValueError("path did not cross the upper level")
-        return self.final - self.upper
-
-    def undershoot(self) -> float:
-        if self.stopping_reason is not StoppingReason.HIT_BELOW:
-            raise ValueError("path did not cross the lower level")
-        return self.lower - self.final
 
 
 @dataclass
@@ -135,16 +121,22 @@ def make_tilted_walk(model, rho) -> TiltedWalk:
                       variance=d2psi, span=span, name=name)
 
 
-def cramer_gamma(values, probs) -> float:
+def cramer_gamma(step) -> float:
     """The positive root of E[e^{-gamma X}] = 1 for a positive-drift step law.
 
-    Gives the bound P(walk from h ever drops below 0) <= e^{-gamma h}.
+    Gives the bound P(walk from h ever drops below 0) <= e^{-gamma h}.  Found
+    by bisection on the step's own moment generating function, for lattice
+    and continuous laws alike.
     """
-    vals = np.asarray(values, float)
-    p = np.asarray(probs, float)
-    if float((vals * p).sum()) <= 0:
+    if step.mgf_parts(0.0)[1] <= 0:
         raise ValueError("Cramer root needs positive drift")
-    f = lambda g: float((p * np.exp(-g * vals)).sum()) - 1.0
+
+    def f(g):
+        try:
+            return step.mgf_parts(-g)[0] - 1.0
+        except OverflowError:    # far past the root: the mgf is huge
+            return math.inf
+
     hi = 1.0
     while f(hi) < 0:
         hi *= 2.0
@@ -158,6 +150,32 @@ def cramer_gamma(values, probs) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _walk_chunks(walk: TiltedWalk, pos: np.ndarray, rng, max_steps: int, visit):
+    """Step every row of ``pos`` until ``visit`` retires it or max_steps run out.
+
+    Chunks start at 16 steps and double, capped by the element budget and by
+    the steps left; all live rows share the step count t.  ``visit(t, cum)``
+    gets the positions after steps t+1..t+c, one row per live row in order,
+    and returns the mask of rows that go on.  Returns ``(t, pos)``: the steps
+    taken and the last positions of the rows still live, which the caller
+    reports as truncated.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    t = 0
+    chunk = 16
+    while pos.size and t < max_steps:
+        chunk = min(2 * chunk, max(16, _MEM_ELEMENTS // pos.size))
+        c = int(min(chunk, max_steps - t))
+        cum = walk.sample(rng, pos.size * c).reshape(pos.size, c)
+        np.cumsum(cum, axis=1, out=cum)
+        cum += pos[:, None]
+        keep = visit(t, cum)
+        t += c
+        pos = cum[keep, -1]
+    return t, pos
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +245,9 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
         finals[m] = starts[m]
 
     active = np.flatnonzero(reasons == 0)
-    pos = starts[active]
-    used = np.zeros(active.size, np.int64)
-    chunk = 16
-    while active.size:
-        chunk = min(2 * chunk, max(16, _MEM_ELEMENTS // active.size))
-        c = int(min(chunk, max_steps - used.min()))
-        c = max(c, 1)
-        inc = walk.sample(rng, active.size * c).reshape(active.size, c)
-        np.cumsum(inc, axis=1, out=inc)
-        cum = inc
-        cum += pos[:, None]
+
+    def visit(t, cum):
+        nonlocal active
         hit = np.zeros(cum.shape, bool)
         if lower is not None:
             hit |= cum < lower
@@ -251,7 +261,7 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
             idx = active[done_rows]
             fin = cum[done_rows, stop[done_rows]]
             finals[idx] = fin
-            steps[idx] = used[done_rows] + stop[done_rows] + 1
+            steps[idx] = t + stop[done_rows] + 1
             if lower is not None and upper is not None:
                 below = fin < lower
                 reasons[idx] = np.where(below, StoppingReason.HIT_BELOW.value,
@@ -260,60 +270,16 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
                 reasons[idx] = StoppingReason.HIT_BELOW.value
             else:
                 reasons[idx] = StoppingReason.HIT_ABOVE.value
+        go = ~any_hit
+        active = active[go]
+        return go
 
-        keep = np.flatnonzero(~any_hit)
-        active = active[keep]
-        pos = cum[keep, -1]
-        used = used[keep] + c
-        if active.size:
-            exhausted = used >= max_steps
-            if exhausted.any():
-                idx = active[exhausted]
-                reasons[idx] = StoppingReason.MAX_STEPS.value
-                finals[idx] = pos[exhausted]
-                steps[idx] = used[exhausted]
-                active = active[~exhausted]
-                pos = pos[~exhausted]
-                used = used[~exhausted]
+    t, pos = _walk_chunks(walk, starts[active], rng, max_steps, visit)
+    reasons[active] = StoppingReason.MAX_STEPS.value
+    finals[active] = pos
+    steps[active] = t
     return PassageEnsemble(reasons=reasons, finals=finals, n_steps=steps,
                            lower=lower, upper=upper)
-
-
-def simulate_until_passage(walk: TiltedWalk, x: float, rng, *,
-                           upper: float | None = None, lower: float | None = None,
-                           max_steps: int = 10 ** 6) -> WalkPath:
-    """One path with its increments kept, stopped at the first strict crossing."""
-    if upper is None and lower is None and max_steps >= DEFAULT_MAX_STEPS:
-        raise ValueError("need a barrier or a finite max_steps")
-    if upper is not None and x > upper:
-        return WalkPath(x, np.empty(0), StoppingReason.HIT_ABOVE, lower, upper)
-    if lower is not None and x < lower:
-        return WalkPath(x, np.empty(0), StoppingReason.HIT_BELOW, lower, upper)
-    pieces = []
-    pos = x
-    used = 0
-    chunk = 64
-    while used < max_steps:
-        c = int(min(chunk, max_steps - used))
-        inc = walk.sample(rng, c)
-        cum = pos + np.cumsum(inc)
-        hit = np.zeros(c, bool)
-        if lower is not None:
-            hit |= cum < lower
-        if upper is not None:
-            hit |= cum > upper
-        if hit.any():
-            stop = int(np.argmax(hit))
-            pieces.append(inc[:stop + 1])
-            reason = (StoppingReason.HIT_BELOW
-                      if lower is not None and cum[stop] < lower
-                      else StoppingReason.HIT_ABOVE)
-            return WalkPath(x, np.concatenate(pieces), reason, lower, upper)
-        pieces.append(inc)
-        pos = float(cum[-1])
-        used += c
-        chunk = min(2 * chunk, 1 << 16)
-    return WalkPath(x, np.concatenate(pieces), StoppingReason.MAX_STEPS, lower, upper)
 
 
 def ladder_decompose(path: WalkPath) -> LadderDecomposition:
@@ -431,17 +397,11 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps, block):
         b = min(block, n_replicas - done_total)
         done_total += b
         hist = np.zeros((b, G + 1), np.int64)
-        trunc = np.zeros(b, bool)
-        rows = np.arange(b)          # active -> block row
-        pos = np.zeros(rows.size)
-        used = np.zeros(rows.size, np.int64)
-        chunk = 16
-        while rows.size:
-            chunk = min(2 * chunk, max(16, _MEM_ELEMENTS // rows.size))
-            c = int(max(1, min(chunk, max_steps - used.min())))
-            cum = walk.sample(rng, rows.size * c).reshape(rows.size, c)
-            np.cumsum(cum, axis=1, out=cum)
-            cum += pos[:, None]
+        rows = np.arange(b)          # live row -> block row
+
+        def visit(t, cum):
+            nonlocal hist, rows
+            c = cum.shape[1]
             done = cum >= 0.0
             any_done = done.any(axis=1)
             stop = np.where(any_done, np.argmax(done, axis=1), c)
@@ -453,19 +413,15 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps, block):
                 bins = np.searchsorted(grid, -cum[ri, ci], side="left")
                 keys = rows[ri] * (G + 1) + bins
                 hist += np.bincount(keys, minlength=hist.size).reshape(hist.shape)
-            keep = ~any_done
-            rows = rows[keep]
-            pos = cum[keep, -1]
-            used = used[keep] + c
-            if rows.size:
-                ex = used >= max_steps
-                if ex.any():
-                    trunc[rows[ex]] = True
-                    rows, pos, used = rows[~ex], pos[~ex], used[~ex]
+            go = ~any_done
+            rows = rows[go]
+            return go
+
+        _walk_chunks(walk, np.zeros(b), rng, max_steps, visit)
         counts = 1 + np.cumsum(hist[:, :G], axis=1, dtype=np.float64)
         sums += counts.sum(axis=0)
         sumsq += (counts * counts).sum(axis=0)
-        n_trunc += int(trunc.sum())
+        n_trunc += rows.size
     return _finish_renewal(grid, sums, sumsq, n_replicas, "VisitCount",
                            n_trunc / n_replicas, 0.0, walk.span)
 
@@ -488,19 +444,7 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps, block):
     cutoff = None
     cert_per_event = 0.0
     if walk.drift > 1e-9:
-        gamma = cramer_gamma(walk.step.support(), walk.step.probs()) \
-            if walk.step.support() is not None else None
-        if gamma is None:
-            # continuous drift-up law: calibrate gamma from the mgf directly
-            f = lambda g: walk.step.mgf_parts(-g)[0] - 1.0
-            hi = 1.0
-            while f(hi) < 0:
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
-            gamma = 0.5 * (lo + hi)
+        gamma = cramer_gamma(walk.step)
         cutoff = max(40.0 / gamma, x_max + 1.0)
         cert_per_event = math.exp(-gamma * cutoff)
 
@@ -596,19 +540,7 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
         method = "undershoot"
         cert = 0.0
     else:
-        sup = walk.step.support()
-        if sup is not None:
-            gamma = cramer_gamma(sup, walk.step.probs())
-        else:
-            f = lambda g: walk.step.mgf_parts(-g)[0] - 1.0
-            hi = 1.0
-            while f(hi) < 0:
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
-            gamma = 0.5 * (lo + hi)
+        gamma = cramer_gamma(walk.step)
         cutoff = 40.0 / gamma
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
                                lower=0.0, upper=cutoff, max_steps=max_steps)
@@ -672,19 +604,13 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
 
     L = 2 * (n + 1)                     # ring of raw positions, covers lookbacks
     orig = np.arange(n_replicas)
-    S = np.zeros(n_replicas)
     M = np.zeros(n_replicas)            # raw S at the last strict ladder epoch
     sig = np.zeros(n_replicas, np.int64)
     ring = np.zeros((n_replicas, L))
-    t = 0
-    chunk = 16
-    while orig.size and t < max_steps:
-        na = orig.size
-        chunk = min(2 * chunk, max(16, _MEM_ELEMENTS // na))
-        c = int(min(chunk, max_steps - t))
-        cum = walk.sample(rng, na * c).reshape(na, c)
-        np.cumsum(cum, axis=1, out=cum)
-        cum += S[:, None]
+
+    def visit(t, cum):
+        nonlocal orig, M, sig, ring
+        na, c = cum.shape
         crun = np.maximum.accumulate(cum, axis=1)
         prev_run = np.concatenate(
             [np.full((na, 1), -np.inf), crun[:, :-1]], axis=1)
@@ -733,12 +659,13 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
         else:
             cols = (np.arange(c) + t + 1) % L
             ring[:, cols] = cum
-        S = cum[:, -1]
-        t += c
 
         alive = sig < n
         if not alive.all():
-            orig, S, M, sig, ring = (a[alive] for a in (orig, S, M, sig, ring))
+            orig, M, sig, ring = (a[alive] for a in (orig, M, sig, ring))
+        return alive
+
+    _walk_chunks(walk, np.zeros(n_replicas), rng, max_steps, visit)
     truncated[orig] = True
 
     done = ~truncated
@@ -746,16 +673,6 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     assert not np.isnan(body).any() and (body > 0.0).all(), \
         "conditioned path must be strictly positive"
     return TanakaEnsemble(Z, truncated)
-
-
-def tanaka_conditioned_walk(walk: TiltedWalk, n_steps: int, rng, *,
-                            max_steps: int = 10 ** 6) -> WalkPath:
-    """A single conditioned path; raises if the covering block never closes."""
-    ens = tanaka_ensemble(walk, n_steps, 1, rng, max_steps=max_steps)
-    if ens.truncated[0]:
-        raise RuntimeError(f"covering ladder block still open after {max_steps} steps")
-    zeta = ens.zeta[0]
-    return WalkPath(start=0.0, increments=np.diff(zeta), stopping_reason=None)
 
 
 def first_ladder_height_mean(walk: TiltedWalk, rng, *, n_replicas: int = 200_000,
@@ -831,22 +748,6 @@ def hat_s_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
                              flagged=flagged, e_h1=e_h1[0], e_h1_stderr=e_h1[1])
 
 
-def hat_s_sampler(walk: TiltedWalk, n_steps: int, rng, *,
-                  guard: int | None = None,
-                  max_steps: int = 10 ** 6) -> tuple:
-    """(path, weight, sigma_hat, flagged) for one reweighted conditioned path.
-
-    sigma_hat, the last running-minimum epoch of the emitted path, coincides
-    with sigma_tilde of the underlying conditioned path: the reweighting
-    changes the law, not the realized values.
-    """
-    ens = hat_s_ensemble(walk, n_steps, 1, rng, guard=guard, max_steps=max_steps)
-    path = WalkPath(start=0.0, increments=np.diff(ens.zeta[0]),
-                    stopping_reason=None)
-    return (path, float(ens.weights[0]), int(ens.sigma_tilde[0]),
-            bool(ens.flagged[0]))
-
-
 # ---------------------------------------------------------------------------
 # Doob h-transform stepping
 
@@ -863,23 +764,16 @@ def _h_function(renewal, boundary: str, span: float | None):
     raise ValueError(f"unknown boundary {boundary!r}")
 
 
-def conditioned_step(walk: TiltedWalk, renewal, y: float, rng, *,
-                     boundary: str = "nonnegative") -> float:
-    """One move of the renewal-h-transformed walk from y.
+def conditioned_chain(walk: TiltedWalk, renewal, x0, n_steps: int,
+                      n_replicas: int, rng, *,
+                      boundary: str = "nonnegative") -> np.ndarray:
+    """(n_replicas, n_steps+1) paths of the renewal-h-transformed walk from x0.
 
     ``renewal`` is a RenewalEstimate (its isotonic interpolant is used) or a
     callable h.  Lattice walks step by the exact reweighted categorical;
     continuous walks use acceptance-rejection with the table maximum as the
     envelope, raising if a proposal leaves the covered range.
     """
-    return float(conditioned_chain(walk, renewal, y, 1, 1, rng,
-                                   boundary=boundary)[0, -1])
-
-
-def conditioned_chain(walk: TiltedWalk, renewal, x0, n_steps: int,
-                      n_replicas: int, rng, *,
-                      boundary: str = "nonnegative") -> np.ndarray:
-    """(n_replicas, n_steps+1) paths of the h-transformed walk from x0."""
     h = _h_function(renewal, boundary, walk.span)
     pos = np.broadcast_to(np.asarray(x0, float), (n_replicas,)).copy()
     out = np.empty((n_replicas, n_steps + 1))

@@ -130,11 +130,16 @@ class TestWalk:
                           names=True)
         assert np.array_equal(d["closed_form"], np.arange(10) + 1.0)
 
-    def test_missing_tilt_is_config_error(self, tmp_path):
-        code = run_cli("walk", "--model", "critical-lattice", "--tilt", "plus",
-                       "--grid", "0:5:1", "--replicas", 100, "--seed", 1,
-                       "--out", tmp_path / "walk")
-        assert code == 2
+    def test_missing_tilt_is_config_error(self, tmp_path, capsys):
+        base = {"--model": "critical-lattice", "--tilt": "star",
+                "--grid": "0:5:1", "--replicas": 100, "--seed": 1}
+        for bad in ({"--tilt": "plus"}, {"--replicas": 0}, {"--max-steps": 0},
+                    {"--grid": "-1:3:1"},
+                    {"--model": "two-point", "--tilt": "minus"}):
+            flags = [f"{k}={v}" for k, v in {**base, **bad}.items()]
+            code = run_cli("walk", *flags, "--out", tmp_path / "walk")
+            assert code == 2, bad
+            assert "config error" in capsys.readouterr().err
 
 
 class TestSpine:
@@ -149,10 +154,18 @@ class TestSpine:
         assert s["scaled"]["value"] > 0
         assert s["estimate"]["stderr"] < s["naive"]["stderr"]
 
-    def test_continuous_model_needs_renewal_grid(self, tmp_path):
-        code = run_cli("spine", "--model", "critical-gaussian", "--t", 2,
-                       "--replicas", 100, "--seed", 1, "--out", tmp_path / "sp")
-        assert code == 2
+    def test_continuous_model_needs_renewal_grid(self, tmp_path, capsys):
+        escaping = models.model_to_json(models.IidModel(
+            models.FixedOffspring(2), models.TwoPointStep(1.0, -1.0, 0.5)))
+        for model, extra in (("critical-gaussian", []),
+                             ("critical-lattice", ["--replicas", 0]),
+                             ("critical-lattice", ["--renewal-replicas", 0]),
+                             (escaping, ["--renewal-grid", "0:4:1"])):
+            code = run_cli("spine", "--model", model, "--t", 2,
+                           "--replicas", 100, "--seed", 1, *extra,
+                           "--out", tmp_path / "sp")
+            assert code == 2, (model, extra)
+            assert "config error" in capsys.readouterr().err
 
 
 class TestOracleCmd:

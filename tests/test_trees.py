@@ -204,6 +204,7 @@ class TestMartingales:
         # generations give sharp sample means
         flow = trees.martingale_levels(gauss, 0.0, 4, 100_000,
                                        rng_for_block(305, 1), prune_eps=0.5)
+        assert flow.rho_W == flow.rho_star and flow.M is None
         for g in range(5):
             se = flow.dW[:, g].std() / math.sqrt(100_000)
             assert abs(flow.dW[:, g].mean()) < 4 * se + 1e-12
@@ -240,13 +241,6 @@ class TestMartingales:
         assert np.all(flow.W[flow.extinct, 10] == 0.0)
         assert np.all(flow.dW[flow.extinct, 10] == 0.0)
         assert np.all(flow.M[flow.extinct, 10] == 0.0)
-
-    def test_trajectory_wrapper_shape(self, gauss):
-        traj = trees.martingale_trajectory(gauss, 0.2, 5, rng_for_block(305, 5))
-        assert len(traj) == 6
-        assert [s.generation_n for s in traj] == list(range(6))
-        assert traj[0].additive_W_n == pytest.approx(math.exp(1.1774100225154747 * 0.2))
-        assert all(s.M_rho_minus_n is None for s in traj)
 
     def test_supercritical_rejected(self):
         sup = models.IidModel(models.FixedOffspring(2),

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbrw import models, oracle, walks
 from kbrw.walks import StoppingReason
@@ -126,19 +127,29 @@ class TestPassage:
         ens = walks.passage_ensemble(ssrw, xs, 4, rng, lower=0.0, upper=4.0)
         assert ens.reasons[3] == StoppingReason.HIT_ABOVE.value
 
-    def test_single_path_reconstructs(self, ssrw):
+    @given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_step_accounting_across_chunks(self, ssrw, max_steps, seed):
+        # chunks of 32, 64, 128 steps: max_steps up to 200 cuts each boundary
+        rng = np.random.default_rng(seed)
+        ens = walks.passage_ensemble(ssrw, 5.0, 64, rng, lower=0.0,
+                                     max_steps=max_steps)
+        assert np.all(ens.n_steps <= max_steps)
+        assert np.all(ens.n_steps[ens.truncated] == max_steps)
+        # a row can also hit on its last allowed step, so only the shorter
+        # rows are certain to have hit
+        assert np.all(ens.hit_below[ens.n_steps < max_steps])
+        assert np.all(ens.hit_below | ens.truncated)
+        below = ens.n_steps[ens.hit_below]
+        assert np.all(ens.finals[ens.hit_below] == -1.0)
+        assert np.all(below >= 6) and np.all(below % 2 == 0)
+        left = ens.finals[ens.truncated]
+        assert np.all(left >= 0.0) and np.all((left - 5.0 - max_steps) % 2 == 0)
+
+    def test_max_steps_must_be_positive(self, ssrw):
         rng = np.random.default_rng(9)
-        path = walks.simulate_until_passage(ssrw, 1.0, rng, lower=0.0, upper=6.0)
-        pos = path.positions
-        assert pos[0] == 1.0
-        assert path.stopping_reason in (StoppingReason.HIT_ABOVE,
-                                        StoppingReason.HIT_BELOW)
-        inner = pos[:-1]
-        assert np.all((inner >= 0.0) & (inner <= 6.0))
-        if path.stopping_reason is StoppingReason.HIT_ABOVE:
-            assert path.overshoot() >= 0.0
-        else:
-            assert path.undershoot() >= 0.0
+        with pytest.raises(ValueError, match="max_steps"):
+            walks.passage_ensemble(ssrw, 5.0, 4, rng, max_steps=0)
 
 
 class TestLadders:
@@ -163,7 +174,7 @@ class TestLadders:
 
     def test_records_strictly_increase(self, ssrw):
         rng = np.random.default_rng(33)
-        path = walks.simulate_until_passage(ssrw, 0.0, rng, lower=-8.0, upper=8.0)
+        path = walks.WalkPath(0.0, ssrw.sample(rng, 400), StoppingReason.MAX_STEPS)
         dec = walks.ladder_decompose(path)
         heights = [h for _, h in dec.epochs]
         assert all(b > a for a, b in zip(heights, heights[1:]))
@@ -236,6 +247,35 @@ class TestRenewal:
         assert np.allclose(est.values(), expect, atol=1e-12)
 
 
+class TestCramerRoot:
+    @pytest.mark.parametrize("step", [
+        models.TwoPointStep(1.0, -1.0, P_UP_PLUS),
+        models.FiniteStep([-1.0, 0.5, 2.0], [0.3, 0.3, 0.4]),
+        models.GaussianStep(0.7, 1.3),
+    ], ids=["two-point", "finite", "gaussian"])
+    def test_root_balances_the_mgf(self, step):
+        gamma = walks.cramer_gamma(step)
+        assert gamma > 0.0
+        assert abs(step.mgf_parts(-gamma)[0] - 1.0) <= 1e-12
+
+    def test_gaussian_closed_form(self):
+        # at mu/sigma = 20 the bracket's first overshoot overflows e^x
+        for mu, sigma in ((0.7, 1.3), (20.0, 1.0)):
+            gamma = walks.cramer_gamma(models.GaussianStep(mu, sigma))
+            assert abs(gamma - 2.0 * mu / sigma ** 2) <= 1e-12 * max(1.0, gamma)
+
+    def test_needs_positive_drift(self, minus_walk):
+        for step in (minus_walk.step, models.GaussianStep(0.0),
+                     models.FiniteStep([-1.0, 1.0], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="positive drift"):
+                walks.cramer_gamma(step)
+
+    def test_bracket_is_bounded(self):
+        # no downward step: E[e^{-gamma X}] < 1 for every gamma > 0
+        with pytest.raises(ArithmeticError, match="1e6"):
+            walks.cramer_gamma(models.FiniteStep([0.0, 1.0], [0.5, 0.5]))
+
+
 class TestConstantCR:
     def test_critical_lattice_exact(self, ssrw):
         rng = np.random.default_rng(310)
@@ -295,11 +335,6 @@ class TestTanaka:
     def test_truncation_small_and_reported(self, tanaka_ens):
         assert tanaka_ens.truncated_fraction < 0.02
 
-    def test_single_path_raises_when_block_cannot_close(self, ssrw):
-        rng = np.random.default_rng(411)
-        with pytest.raises(RuntimeError, match="still open"):
-            walks.tanaka_conditioned_walk(ssrw, 8, rng, max_steps=4)
-
 
 class TestMinRecordSampler:
     def test_ssrw_weights_identically_one(self, ssrw):
@@ -326,14 +361,6 @@ class TestMinRecordSampler:
         w = ens.weights[ens.valid()]
         se = w.std(ddof=1) / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) <= 4.0 * se + 0.05
-
-    def test_sampler_tuple(self, ssrw):
-        rng = np.random.default_rng(513)
-        path, weight, sigma_hat, flagged = walks.hat_s_sampler(ssrw, 6, rng)
-        assert path.positions[0] == 0.0
-        assert weight == 1.0
-        assert sigma_hat >= 1
-        assert isinstance(flagged, bool)
 
     def test_ladder_height_cache(self, ssrw):
         rng = np.random.default_rng(514)
@@ -374,11 +401,6 @@ class TestConditionedChains:
             phat = float((ch[:, 3] == v).mean())
             se = math.sqrt(p * (1 - p) / 50_000)
             assert abs(phat - p) <= 4.0 * se + 1e-12
-
-    def test_single_step_wrapper(self, ssrw, cf_table):
-        rng = np.random.default_rng(613)
-        z = walks.conditioned_step(ssrw, cf_table, 0.0, rng)
-        assert z == 1.0
 
     def test_vanishing_h_raises(self, ssrw):
         rng = np.random.default_rng(614)
