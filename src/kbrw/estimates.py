@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeds import SEED_SCHEME
-
 
 @dataclass
 class EstimateWithCI:
@@ -23,20 +21,12 @@ class EstimateWithCI:
     value: float
     stderr: float
     n_effective: float
-    seed_schedule_id: str = SEED_SCHEME
     truncated_fraction: float = 0.0
     label: str = ""
     extra: dict = field(default_factory=dict)
 
-    def ci(self, k: float = 1.96) -> tuple[float, float]:
-        return (self.value - k * self.stderr, self.value + k * self.stderr)
-
-    def within(self, target: float, n_se: float = 4.0, atol: float = 0.0) -> bool:
+    def within(self, target: float, n_se: float, atol: float = 0.0) -> bool:
         return abs(self.value - target) <= n_se * self.stderr + atol
-
-    def agrees_with(self, other: "EstimateWithCI", n_se: float = 4.0) -> bool:
-        pooled = math.hypot(self.stderr, other.stderr)
-        return abs(self.value - other.value) <= n_se * pooled
 
     def __str__(self) -> str:  # compact, for report tables
         return f"{self.value:.6g} +- {self.stderr:.2g} (n_eff={self.n_effective:.3g})"
@@ -60,3 +50,14 @@ def binomial_estimate(k: int, n: int, label: str = "",
     p = k / n
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
     return EstimateWithCI(p, se, float(n), label=label, truncated_fraction=truncated_fraction)
+
+
+def pooled_z(a, sa, b, sb):
+    """|a - b| in units of the pooled error hypot(sa, sb), elementwise.
+
+    A zero gap over a zero error is a match (0); a nonzero gap over a zero
+    error is infinitely far (inf).
+    """
+    pooled = np.hypot(sa, sb)
+    return np.where(pooled > 0, np.abs(a - b) / np.where(pooled > 0, pooled, 1.0),
+                    np.where(a == b, 0.0, np.inf))

@@ -257,10 +257,6 @@ class ModelAnalytics:
     lattice_span: float | None
     note: str = ""
 
-    @property
-    def is_lattice(self) -> bool:
-        return self.lattice_span is not None
-
     def regime_tilt(self) -> float:
         """The exponent used for additive martingales and spine estimators."""
         if self.regime is Regime.CRITICAL:
@@ -333,6 +329,10 @@ class PatternModel(_ModelBase):
             raise ValueError("atom probabilities must sum to 1")
         self.patterns = pats
         self.atom_probs = np.asarray(probs)
+        # flat layout for the forest engine: litter size, offset into flat
+        sizes = np.array([p.size for p in pats], np.int64)
+        self.flat_layout = (sizes, np.cumsum(sizes) - sizes,
+                            np.concatenate(pats))
         self._cdf = np.cumsum(self.atom_probs)
         if self.mean_offspring <= 1.0:
             raise ValueError("mean offspring must exceed 1")

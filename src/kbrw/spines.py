@@ -57,25 +57,6 @@ class SpineReproduction:
     sib_offsets: np.ndarray | None = None
     sib_counts: np.ndarray | None = None
     _nu_cdf: np.ndarray | None = field(default=None, repr=False)
-    _choice_cdf: np.ndarray | None = field(default=None, repr=False)
-
-    def sample(self, rng, n: int):
-        """n generations -> (spine displacements, sibling displacement lists)."""
-        if self.kind == "iid":
-            u = rng.random(n)
-            ks = self.nu_values[np.searchsorted(self._nu_cdf, u, side="right")]
-            z = self.spine_step.sample(rng, n)
-            counts = ks.astype(np.int64) - 1
-            raw = self.model.step.sample(rng, int(counts.sum()))
-            splits = np.cumsum(counts)[:-1]
-            return z, np.split(raw, splits)
-        u = rng.random(n)
-        cid = np.searchsorted(self._choice_cdf, u, side="right")
-        z = self.choice_z[cid]
-        sibs = [self.sib_flat[self.sib_offsets[c]:
-                              self.sib_offsets[c] + self.sib_counts[c]]
-                for c in cid]
-        return z, sibs
 
     def signature_table(self) -> dict:
         """Exact law of (spine displacement, litter size); finite models only."""
@@ -122,13 +103,11 @@ def tilted_reproduction(model, rho=None) -> SpineReproduction:
                 cnts.append(rest.size)
         qs = np.asarray(qs)
         qs /= qs.sum()
-        rep = SpineReproduction(model=model, rho=rho, kind="pattern",
-                                choice_z=np.asarray(zs), choice_probs=qs,
-                                sib_flat=np.asarray(flat, float),
-                                sib_offsets=np.asarray(offs, np.int64),
-                                sib_counts=np.asarray(cnts, np.int64))
-        rep._choice_cdf = np.cumsum(qs)
-        return rep
+        return SpineReproduction(model=model, rho=rho, kind="pattern",
+                                 choice_z=np.asarray(zs), choice_probs=qs,
+                                 sib_flat=np.asarray(flat, float),
+                                 sib_offsets=np.asarray(offs, np.int64),
+                                 sib_counts=np.asarray(cnts, np.int64))
     raise TypeError("unsupported model type")
 
 
@@ -346,13 +325,7 @@ def _lattice_iid_spine_step(rep, R, y, idx, rng):
         cdf = np.cumsum(wts) / tot
         pick = np.searchsorted(cdf, rng.random(rows.size), side="right")
         znew[rows] = y0 + sup[np.minimum(pick, sup.size - 1)]
-    u = rng.random(y.size)
-    ks = rep.nu_values[np.searchsorted(rep._nu_cdf, u, side="right")]
-    counts = ks.astype(np.int64) - 1
-    total = int(counts.sum())
-    srep = np.repeat(idx, counts)
-    spos = np.repeat(y, counts) + rep.model.step.sample(rng, total)
-    return znew, srep, spos
+    return (znew, *_iid_litter(rep, y, idx, rng))
 
 
 def _continuous_iid_spine_step(rep, R, renewal, y, idx, rng):
@@ -371,12 +344,20 @@ def _continuous_iid_spine_step(rep, R, renewal, y, idx, rng):
         # beyond the table R is flat-extended; the envelope stays valid
         znew[pending[ok]] = cand[ok]
         pending = pending[~ok]
+    return (znew, *_iid_litter(rep, y, idx, rng))
+
+
+def _iid_litter(rep, y, idx, rng):
+    """Siblings of every active spine, as (replica ids, positions).
+
+    The size-biased litter less the spine child; siblings take raw steps.
+    """
     u = rng.random(y.size)
     ks = rep.nu_values[np.searchsorted(rep._nu_cdf, u, side="right")]
     counts = ks.astype(np.int64) - 1
     srep = np.repeat(idx, counts)
     spos = np.repeat(y, counts) + rep.model.step.sample(rng, int(counts.sum()))
-    return znew, srep, spos
+    return srep, spos
 
 
 def _pattern_spine_step(rep, R, y, idx, rng):

@@ -27,6 +27,16 @@ def _as_regime(regime) -> Regime:
     return Regime(str(regime).lower())
 
 
+def survival_scale(t: float, rho: float, regime) -> float:
+    """t e^{rho t} at criticality, e^{rho t} otherwise.
+
+    The inverse of the decay of P(H(t) > 0), so the scaled survival
+    probability levels off as t grows.
+    """
+    scale = math.exp(rho * t)
+    return t * scale if _as_regime(regime) is Regime.CRITICAL else scale
+
+
 # ---------------------------------------------------------------------------
 # survival tables
 
@@ -267,10 +277,6 @@ class YaglomReport:
     ratio: EstimateWithCI                   # normalized survival, low/high
 
 
-def _scale_factor(t: float, regime: Regime) -> float:
-    return t if regime is Regime.CRITICAL else 1.0
-
-
 def yaglom_diagnostic(data_low, data_high, regime) -> YaglomReport:
     """Compare two conditioned crossing datasets at different levels.
 
@@ -287,10 +293,10 @@ def yaglom_diagnostic(data_low, data_high, regime) -> YaglomReport:
     ks1 = sps.ks_2samp(data_low.min_overshoot, data_high.min_overshoot)
     ks2 = sps.ks_2samp(np.log(data_low.tilted_mass),
                        np.log(data_high.tilted_mass))
-    num = _scale_factor(data_low.t, regime) \
-        * math.exp(data_low.rho * data_low.t) * data_low.p_survival.value
-    den = _scale_factor(data_high.t, regime) \
-        * math.exp(data_high.rho * data_high.t) * data_high.p_survival.value
+    num = survival_scale(data_low.t, data_low.rho, regime) \
+        * data_low.p_survival.value
+    den = survival_scale(data_high.t, data_high.rho, regime) \
+        * data_high.p_survival.value
     rel = math.hypot(data_low.p_survival.stderr / data_low.p_survival.value,
                      data_high.p_survival.stderr / data_high.p_survival.value)
     ratio = EstimateWithCI(value=num / den, stderr=num / den * rel,

@@ -96,13 +96,7 @@ def _spawn(model, pos, rng):
         disp = model.step.sample(rng, int(nu.sum()))
         return nu, parent, disp
     if isinstance(model, PatternModel):
-        layout = getattr(model, "_flat_layout", None)
-        if layout is None:
-            sizes = np.array([p.size for p in model.patterns], np.int64)
-            offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-            layout = (sizes, offsets, np.concatenate(model.patterns))
-            model._flat_layout = layout
-        sizes_tab, offsets_tab, flat = layout
+        sizes_tab, offsets_tab, flat = model.flat_layout
         atom = model.sample_atom(rng, n)
         nu = sizes_tab[atom]
         parent = np.repeat(np.arange(n), nu)

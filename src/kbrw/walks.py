@@ -44,7 +44,6 @@ class StoppingReason(Enum):
 class WalkPath:
     start: float
     increments: np.ndarray
-    stopping_reason: StoppingReason
 
     @property
     def positions(self) -> np.ndarray:
@@ -73,10 +72,6 @@ class TiltedWalk:
     span: float | None       # lattice span of the step support, None if continuous
     name: str = ""
     _h1_cache: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def is_lattice(self) -> bool:
-        return self.span is not None
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.step.sample(rng, n)
@@ -317,7 +312,6 @@ class RenewalEstimate:
     x_grid: np.ndarray
     r_values: list           # EstimateWithCI per grid point
     method: str              # "VisitCount" | "LadderDuality" | "ClosedForm"
-    raw_violations: int = 0  # monotonicity violations before isotonic cleanup
     truncated_fraction: float = 0.0
     certification_bound: float = 0.0
     span: float | None = None
@@ -356,10 +350,8 @@ def _finish_renewal(grid, sums, sumsq, n, method, truncated, cert_bound, span):
         ests.append(EstimateWithCI(
             value=float(mean), stderr=float(math.sqrt(var / n)), n_effective=float(n),
             truncated_fraction=truncated, label=f"R({grid[k]:g})"))
-    vals = np.array([e.value for e in ests])
-    violations = int(np.sum(np.diff(vals) < 0))
     return RenewalEstimate(x_grid=grid, r_values=ests, method=method,
-                           raw_violations=violations, truncated_fraction=truncated,
+                           truncated_fraction=truncated,
                            certification_bound=cert_bound, span=span)
 
 

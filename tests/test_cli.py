@@ -160,7 +160,9 @@ class TestSpine:
         for model, extra in (("critical-gaussian", []),
                              ("critical-lattice", ["--replicas", 0]),
                              ("critical-lattice", ["--renewal-replicas", 0]),
-                             (escaping, ["--renewal-grid", "0:4:1"])):
+                             (escaping, ["--renewal-grid", "0:4:1"]),
+                             ("critical-lattice", ["--t=-2"]),
+                             ("critical-lattice", ["--x", 2])):
             code = run_cli("spine", "--model", model, "--t", 2,
                            "--replicas", 100, "--seed", 1, *extra,
                            "--out", tmp_path / "sp")
@@ -228,6 +230,73 @@ class TestReport:
         assert rows[12]["status"] == "PASS"       # w1 == w2 config hash
         assert rows[5]["status"] == "SKIP"
         assert "exploration identity" in out
+
+    def test_verdicts_flip_at_the_tolerance_table(self, tmp_path):
+        # synthetic runs sit exactly on each bound of cli.TOLERANCES (PASS),
+        # then one float past it (FAIL)
+        tol = cli.TOLERANCES
+        up = lambda v: float(np.nextafter(v, np.inf))
+        down = lambda v: float(np.nextafter(v, -np.inf))
+        lo, hi = tol["probe_band"]
+
+        def walk(z=tol["z"], rel=tol["closed_form_rel"], cr=tol["cr_rel"],
+                 probe=lo):
+            return {"kind": "walk", "max_method_z": z,
+                    "max_closed_form_rel_err": rel, "cr_rel_err": cr,
+                    "C_R": {"probe_product": probe}}
+
+        def spine_pair(regime, ratio, z=tol["z"]):
+            base = {"kind": "spine", "model": {}, "regime": regime,
+                    "z_spine_vs_naive": z}
+            return [dict(base, t=4.0, scaled={"value": 1.0}),
+                    dict(base, t=8.0, scaled={"value": ratio})]
+
+        def slope(dev):
+            return {"kind": "estimate", "mode": "SubcriticalSlope",
+                    "fit": {"value": -2.0},
+                    "extra": {"reference_exponent": -2.0,
+                              "relative_deviation": dev}}
+
+        def plateau(ratio=tol["decade_ratio"], factor=tol["constant_factor"]):
+            return {"kind": "estimate", "mode": "CriticalPlateau",
+                    "diagnostics": ratio, "constant_factor": factor}
+
+        f, r = tol["critical_factor"], tol["subcritical_rel"]
+        cases = [
+            (5, [walk()], "PASS"), (5, [walk(z=up(tol["z"]))], "FAIL"),
+            (5, [walk(rel=up(tol["closed_form_rel"]))], "FAIL"),
+            (5, [walk(cr=up(tol["cr_rel"]))], "FAIL"),
+            (6, [walk(probe=lo)], "PASS"), (6, [walk(probe=hi)], "PASS"),
+            (6, [walk(probe=down(lo))], "FAIL"),
+            (6, [walk(probe=up(hi))], "FAIL"),
+            (8, spine_pair("critical", f), "PASS"),
+            (8, spine_pair("critical", 1.0 / f), "PASS"),
+            (8, spine_pair("critical", up(f)), "FAIL"),
+            (8, spine_pair("critical", down(1.0 / f)), "FAIL"),
+            (8, spine_pair("critical", 1.0, z=up(tol["z"])), "FAIL"),
+            (8, spine_pair("subcritical", 1.0 + r), "PASS"),
+            (8, spine_pair("subcritical", 1.0 - r), "PASS"),
+            (8, spine_pair("subcritical", up(1.0 + r)), "FAIL"),
+            (8, spine_pair("subcritical", down(1.0 - r)), "FAIL"),
+            (9, [slope(tol["slope_rel"])], "PASS"),
+            (9, [slope(up(tol["slope_rel"]))], "FAIL"),
+            (10, [plateau()], "PASS"),
+            (10, [plateau(ratio=up(tol["decade_ratio"]))], "FAIL"),
+            (10, [plateau(factor=up(tol["constant_factor"]))], "FAIL"),
+        ]
+        for i, (num, summaries, want) in enumerate(cases):
+            dirs = []
+            for j, summary in enumerate(summaries):
+                d = tmp_path / f"case{i}" / f"run{j}"
+                d.mkdir(parents=True)
+                (d / "summary.json").write_text(json.dumps(summary))
+                dirs.append(str(d))
+            out = tmp_path / f"case{i}" / "rep"
+            assert run_cli("report", "--runs", ",".join(dirs),
+                           "--out", out) == 0
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            got = {row["criterion"]: row["status"] for row in rows}[num]
+            assert got == want, (num, summaries, got)
 
     def test_missing_summary_is_config_error(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -69,11 +69,11 @@ class TestSignatureTables:
 
 class TestSpineLaw:
     def test_binary_litters_leave_one_sibling(self, model_c):
-        rep = spines.tilted_reproduction(model_c)
-        z, sibs = rep.sample(rng_for_block(400, 0), 500)
-        assert z.shape == (500,)
-        assert all(s.size == 1 for s in sibs)
-        assert set(np.round(z, 9)) <= {-1.0, 1.0}
+        # exact law of (spine step, litter size): binary litters, unit steps
+        table = spines.tilted_reproduction(model_c).signature_table()
+        assert {k for _, k in table} == {2}
+        assert {z for z, _ in table} <= {-1.0, 1.0}
+        assert abs(sum(table.values()) - 1.0) < 1e-12
 
     def test_spine_step_is_tilted(self, two_point):
         rep = spines.tilted_reproduction(two_point)
