@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -164,11 +163,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _workers(args) -> int:
-    env = os.environ.get("KBRW_WORKERS")
-    n = int(env) if env else args.workers
-    if n < 1:
+    if args.workers < 1:
         raise ConfigError("workers must be positive")
-    return n
+    return args.workers
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +437,16 @@ def cmd_spine(args) -> int:
         fwd = trees.simulate_killed_forest(model, args.x, [args.t],
                                            args.naive_replicas,
                                            rng_for_block(seed, 2))
-        naive = binomial_estimate(int((fwd.H[0] > 0).sum()),
-                                  args.naive_replicas,
+        hits = int((fwd.H[0] > 0).sum())
+        naive = binomial_estimate(hits, args.naive_replicas,
                                   truncated_fraction=fwd.truncated_fraction)
         summary["naive"] = _estimate_doc(naive)
+        # a count of 0 or n has binomial stderr 0; judge it by the rule of
+        # three instead, the 95% bound 3/n on an unseen (or certain) event
+        naive_se = naive.stderr if 0 < hits < args.naive_replicas \
+            else 3.0 / args.naive_replicas
         summary["z_spine_vs_naive"] = float(pooled_z(est.value, est.stderr,
-                                                     naive.value, naive.stderr))
+                                                     naive.value, naive_se))
     run.write_json("summary.json", summary)
     return run.finish({"spine": est.truncated_fraction})
 
@@ -513,8 +514,7 @@ def cmd_estimate(args) -> int:
     config = ExperimentConfig("estimate", None, flags, None, Path(args.out))
     run = Run(config)
 
-    table = stats.survival_curve(counts, grid, truncated=trunc,
-                                 label=args.statistic + " ")
+    table = stats.survival_curve(counts, grid, truncated=trunc)
     try:
         rep = stats.tail_fit(table, args.regime, rho_ratio=args.rho_ratio)
     except ValueError as exc:

@@ -22,34 +22,30 @@ class EstimateWithCI:
     stderr: float
     n_effective: float
     truncated_fraction: float = 0.0
-    label: str = ""
     extra: dict = field(default_factory=dict)
 
     def within(self, target: float, n_se: float, atol: float = 0.0) -> bool:
         return abs(self.value - target) <= n_se * self.stderr + atol
 
-    def __str__(self) -> str:  # compact, for report tables
-        return f"{self.value:.6g} +- {self.stderr:.2g} (n_eff={self.n_effective:.3g})"
 
-
-def from_samples(x: np.ndarray, label: str = "", truncated_fraction: float = 0.0) -> EstimateWithCI:
+def from_samples(x: np.ndarray, truncated_fraction: float = 0.0) -> EstimateWithCI:
     x = np.asarray(x, dtype=float)
     n = x.size
     if n == 0:
-        return EstimateWithCI(math.nan, math.nan, 0.0, label=label,
+        return EstimateWithCI(math.nan, math.nan, 0.0,
                               truncated_fraction=truncated_fraction)
     m = float(x.mean())
     se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return EstimateWithCI(m, se, float(n), label=label, truncated_fraction=truncated_fraction)
+    return EstimateWithCI(m, se, float(n), truncated_fraction=truncated_fraction)
 
 
-def binomial_estimate(k: int, n: int, label: str = "",
+def binomial_estimate(k: int, n: int,
                       truncated_fraction: float = 0.0) -> EstimateWithCI:
     if n <= 0:
-        return EstimateWithCI(math.nan, math.nan, 0.0, label=label)
+        return EstimateWithCI(math.nan, math.nan, 0.0)
     p = k / n
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return EstimateWithCI(p, se, float(n), label=label, truncated_fraction=truncated_fraction)
+    return EstimateWithCI(p, se, float(n), truncated_fraction=truncated_fraction)
 
 
 def pooled_z(a, sa, b, sb):

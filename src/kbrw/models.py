@@ -32,6 +32,22 @@ import numpy as np
 RHO_TOL = 1e-10        # |psi(rho) - rho psi'(rho)| at rho_star, |psi| at rho_pm
 REGIME_TOL = 1e-9      # drift threshold separating critical from subcritical
 STRATEGY_AGREE_TOL = 1e-8   # two independent rho_star searches must agree to this
+RHO_STAR_T_MAX = 512.0      # rho_star search gives up (escape upward) beyond this
+
+
+def _inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
+    """Category index of uniforms u under a cumulative table.
+
+    Clamped to the last category: a cumulative sum can end a few ulps short
+    of 1, and u up to 1 - 2^-53 must still land in the table.
+    """
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def _take_runs(flat: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """flat[starts[i] : starts[i] + counts[i]] for every i, end to end."""
+    shift = starts - (np.cumsum(counts) - counts)
+    return flat[np.repeat(shift, counts) + np.arange(int(counts.sum()))]
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +144,7 @@ class FiniteStep:
         return float(w.sum()), float((w * self.values).sum()), float((w * self.values ** 2).sum())
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
-        return self.values[np.minimum(idx, self.values.size - 1)]
+        return self.values[_inverse_cdf(self._cdf, rng.random(n))]
 
     def support(self) -> np.ndarray:
         return self.values.copy()
@@ -207,8 +222,7 @@ class PmfOffspring:
         return self.values.copy(), self._probs.copy()
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
-        return self.values[np.minimum(idx, self.values.size - 1)]
+        return self.values[_inverse_cdf(self._cdf, rng.random(n))]
 
     def to_json(self) -> dict:
         return {"type": "pmf", "values": self.values.tolist(), "probs": self._probs.tolist()}
@@ -305,10 +319,15 @@ class IidModel(_ModelBase):
     def displacement_support(self):
         return self.step.support()
 
-    def sample_offspring(self, rng: np.random.Generator, x: float = 0.0) -> np.ndarray:
-        """Child positions of a single particle at x."""
-        k = int(self.nu.sample(rng, 1)[0])
-        return x + self.step.sample(rng, k)
+    def spawn(self, rng: np.random.Generator, n: int):
+        """Children of n particles: (litter sizes, flat parent index, displacements)."""
+        nu = self.nu.sample(rng, n).astype(np.int64)
+        parent = np.repeat(np.arange(n), nu)
+        return nu, parent, self.step.sample(rng, int(nu.sum()))
+
+    def tilted_step(self, rho: float):
+        """Step law of the spine walk: the displacement law tilted by e^{rho z}."""
+        return self.step.tilted(rho)
 
     def to_json(self) -> dict:
         return {"kind": "iid", "nu": self.nu.to_json(), "x": self.step.to_json()}
@@ -329,10 +348,10 @@ class PatternModel(_ModelBase):
             raise ValueError("atom probabilities must sum to 1")
         self.patterns = pats
         self.atom_probs = np.asarray(probs)
-        # flat layout for the forest engine: litter size, offset into flat
-        sizes = np.array([p.size for p in pats], np.int64)
-        self.flat_layout = (sizes, np.cumsum(sizes) - sizes,
-                            np.concatenate(pats))
+        # all patterns end to end: litter size and start offset per atom
+        self._sizes = np.array([p.size for p in pats], np.int64)
+        self._offsets = np.cumsum(self._sizes) - self._sizes
+        self._flat = np.concatenate(pats)
         self._cdf = np.cumsum(self.atom_probs)
         if self.mean_offspring <= 1.0:
             raise ValueError("mean offspring must exceed 1")
@@ -355,12 +374,30 @@ class PatternModel(_ModelBase):
         return np.unique(vals)
 
     def sample_atom(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
-        return np.minimum(idx, len(self.patterns) - 1)
+        return _inverse_cdf(self._cdf, rng.random(n))
 
-    def sample_offspring(self, rng: np.random.Generator, x: float = 0.0) -> np.ndarray:
-        j = int(self.sample_atom(rng, 1)[0])
-        return x + self.patterns[j]
+    def spawn(self, rng: np.random.Generator, n: int):
+        """Children of n particles: (litter sizes, flat parent index, displacements).
+
+        Each parent draws one atom and its children take that pattern's
+        displacements in order.
+        """
+        atom = self.sample_atom(rng, n)
+        nu = self._sizes[atom]
+        parent = np.repeat(np.arange(n), nu)
+        return nu, parent, _take_runs(self._flat, self._offsets[atom], nu)
+
+    def tilted_step(self, rho: float) -> FiniteStep:
+        """Step law of the spine walk: the pattern intensity tilted by e^{rho z}.
+
+        Weights add up atom by atom and slot by slot.
+        """
+        sup = self.displacement_support()
+        weights = np.zeros(sup.size)
+        for q, pat in zip(self.atom_probs, self.patterns):
+            for z in pat:
+                weights[np.searchsorted(sup, z)] += q * math.exp(rho * z)
+        return FiniteStep(sup, weights / weights.sum())
 
     def to_json(self) -> dict:
         return {
@@ -470,7 +507,7 @@ def _top_displacement_intensity(model):
     return z_max, lam
 
 
-def find_rho_star(model, t_max: float = 512.0) -> float:
+def find_rho_star(model) -> float:
     """The root of psi(t) = t psi'(t), i.e. the minimizer of psi(t)/t on t > 0.
 
     Solved by bisection on the increasing function g(t) = t psi'(t) - psi(t),
@@ -492,12 +529,13 @@ def find_rho_star(model, t_max: float = 512.0) -> float:
     hi = 1.0
     while g(hi) <= 0:
         hi *= 2.0
-        if hi > t_max:
+        if hi > RHO_STAR_T_MAX:
             raise ValueError(
                 "no root of t psi'(t) = psi(t) below t_max; minimum of psi(t)/t "
                 "sits at infinity (model escapes upward)")
     root = _bisect(g, hi / 2.0 if hi > 1.0 else lo, hi)
-    check = _golden_min(lambda t: model.psi(t) / t, max(lo, root / 8.0), min(t_max, root * 8.0))
+    check = _golden_min(lambda t: model.psi(t) / t, max(lo, root / 8.0),
+                        min(RHO_STAR_T_MAX, root * 8.0))
     if abs(check - root) > STRATEGY_AGREE_TOL * max(1.0, abs(root)):
         raise ArithmeticError(
             f"rho_star strategies disagree: bisection {root!r} vs golden {check!r}")

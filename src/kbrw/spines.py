@@ -11,14 +11,17 @@ reach measurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import trees
 from .estimates import EstimateWithCI, from_samples
-from .models import IidModel, PatternModel, log_laplace, size_biased_pmf
+from .models import (PatternModel, _inverse_cdf, _take_runs, log_laplace,
+                     size_biased_pmf)
 from .walks import RenewalEstimate, make_tilted_walk, passage_ensemble
+
+MAX_SPINE_STEPS = 10 ** 6   # a spine still below t after this many is an error
 
 
 def _regime_rho(model, rho):
@@ -45,29 +48,27 @@ class SpineReproduction:
 
     model: object
     rho: float
-    kind: str
-    # iid branch
+    # one row per spine choice: displacement and probability; for iid
+    # models the tilted step's support, None when that is continuous
+    choice_z: np.ndarray | None
+    choice_probs: np.ndarray | None
+    # iid litters: the tilted step and the size-biased litter size law
+    spine_step: object | None = None
     nu_values: np.ndarray | None = None
     nu_probs: np.ndarray | None = None
-    spine_step: object | None = None
-    # pattern branch: one row per (pattern, slot) choice
-    choice_z: np.ndarray | None = None
-    choice_probs: np.ndarray | None = None
+    # pattern litters: the siblings of every choice row, end to end
     sib_flat: np.ndarray | None = None
     sib_offsets: np.ndarray | None = None
     sib_counts: np.ndarray | None = None
-    _nu_cdf: np.ndarray | None = field(default=None, repr=False)
 
     def signature_table(self) -> dict:
         """Exact law of (spine displacement, litter size); finite models only."""
+        if self.choice_z is None:
+            raise ValueError("needs finite displacement support")
         out: dict[tuple[float, int], float] = {}
-        if self.kind == "iid":
-            sup = self.spine_step.support()
-            if sup is None:
-                raise ValueError("needs finite displacement support")
-            probs = self.spine_step.probs()
+        if self.sib_counts is None:
             for k, pk in zip(self.nu_values, self.nu_probs):
-                for zv, pz in zip(sup, probs):
+                for zv, pz in zip(self.choice_z, self.choice_probs):
                     key = (float(zv), int(k))
                     out[key] = out.get(key, 0.0) + float(pk) * float(pz)
             return out
@@ -82,14 +83,6 @@ def tilted_reproduction(model, rho=None) -> SpineReproduction:
     psi, _, _ = log_laplace(model, rho)
     if abs(psi) > 1e-8:
         raise ValueError("spine decomposition needs a mass-1 tilt")
-    if isinstance(model, IidModel):
-        nv, npr = size_biased_pmf(model.nu)
-        rep = SpineReproduction(model=model, rho=rho, kind="iid",
-                                nu_values=np.asarray(nv),
-                                nu_probs=np.asarray(npr),
-                                spine_step=model.step.tilted(rho))
-        rep._nu_cdf = np.cumsum(rep.nu_probs)
-        return rep
     if isinstance(model, PatternModel):
         zs, qs, flat, offs, cnts = [], [], [], [], []
         for q, pat in zip(model.atom_probs, model.patterns):
@@ -103,12 +96,19 @@ def tilted_reproduction(model, rho=None) -> SpineReproduction:
                 cnts.append(rest.size)
         qs = np.asarray(qs)
         qs /= qs.sum()
-        return SpineReproduction(model=model, rho=rho, kind="pattern",
+        return SpineReproduction(model=model, rho=rho,
                                  choice_z=np.asarray(zs), choice_probs=qs,
                                  sib_flat=np.asarray(flat, float),
                                  sib_offsets=np.asarray(offs, np.int64),
                                  sib_counts=np.asarray(cnts, np.int64))
-    raise TypeError("unsupported model type")
+    step = model.tilted_step(rho)
+    sup = step.support()
+    nv, npr = size_biased_pmf(model.nu)
+    return SpineReproduction(
+        model=model, rho=rho,
+        choice_z=None if sup is None else np.asarray(sup, float),
+        choice_probs=None if sup is None else np.asarray(step.probs(), float),
+        spine_step=step, nu_values=np.asarray(nv), nu_probs=np.asarray(npr))
 
 
 def spine_marginal_check(model, rho=None, oracle_table: dict | None = None) -> float:
@@ -149,7 +149,7 @@ def many_to_one_estimate(model, x: float, n: int, F, n_replicas: int, rng, *,
     if vals.shape != (n_replicas,):
         raise ValueError("F must return one value per path")
     samples = vals * np.exp(-rho * (paths[:, n] - x))
-    est = from_samples(samples, label=f"gen-{n} functional")
+    est = from_samples(samples)
     est.extra.update(rho=rho, n=n)
     return est
 
@@ -167,15 +167,14 @@ def estimate_EH(model, x: float, t: float, n_replicas: int, rng, *,
         raise ValueError("start below the barrier")
     if x > t:
         return EstimateWithCI(value=1.0, stderr=0.0, n_effective=float("inf"),
-                              label="E[H]", extra={"rho": rho, "exact": True})
+                              extra={"rho": rho, "exact": True})
     tw = make_tilted_walk(model, rho)
     ens = passage_ensemble(tw, x, n_replicas, rng, lower=0.0, upper=t,
                            max_steps=max_steps)
     samples = np.zeros(n_replicas)
     hit = ens.hit_above
     samples[hit] = np.exp(rho * (x - ens.finals[hit]))
-    est = from_samples(samples, label="E[H]",
-                       truncated_fraction=ens.truncated_fraction)
+    est = from_samples(samples, truncated_fraction=ens.truncated_fraction)
     est.extra.update(rho=rho, p_cross=float(hit.mean()))
     return est
 
@@ -184,15 +183,9 @@ def estimate_EH(model, x: float, t: float, n_replicas: int, rng, *,
 # survival at a level, spine importance sampling
 
 
-def _lattice_key(y: np.ndarray) -> np.ndarray:
-    return np.round(y, 9)
-
-
 def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
                             renewal: RenewalEstimate | None = None,
-                            rho=None, caps: trees.SimCaps | None = None,
-                            band_eps: float = 1e-3,
-                            max_spine_steps: int = 10 ** 6) -> EstimateWithCI:
+                            rho=None, band_eps: float = 1e-3) -> EstimateWithCI:
     """P(some particle of the killed tree crosses t), any depth of t.
 
     Change the measure by the crossing-line weight sum
@@ -219,8 +212,7 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         raise ValueError("start below the barrier")
     if x > t:
         return EstimateWithCI(value=1.0, stderr=0.0, n_effective=float("inf"),
-                              label="P(H>0)", extra={"rho": rho, "exact": True})
-    caps = caps or trees.SimCaps()
+                              extra={"rho": rho, "exact": True})
     tw = make_tilted_walk(model, rho)
     if renewal is None:
         from .walks import closed_form_renewal
@@ -241,14 +233,13 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     steps = 0
     while active.any():
         steps += 1
-        if steps > max_spine_steps:
-            raise RuntimeError(f"spine still below {t} after {max_spine_steps} steps")
+        if steps > MAX_SPINE_STEPS:
+            raise RuntimeError(f"spine still below {t} after {MAX_SPINE_STEPS} steps")
         idx = np.flatnonzero(active)
         y = S[idx]
-        if rep.kind == "pattern":
-            znew, srep, spos = _pattern_spine_step(rep, R, y, idx, rng)
-        elif tw.span is not None:
-            znew, srep, spos = _lattice_iid_spine_step(rep, R, y, idx, rng)
+        if rep.sib_counts is not None or tw.span is not None:
+            # pattern tables always; iid steps only when they live on a lattice
+            znew, srep, spos = _lattice_spine_step(rep, R, y, idx, rng)
         else:
             znew, srep, spos = _continuous_iid_spine_step(
                 rep, R, renewal, y, idx, rng)
@@ -283,7 +274,7 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         # shift the band floor to the killing barrier so the forest engine
         # abandons strip escapees for us; leaf counts certify what it cost
         forest = trees.simulate_killed_forest(model, roots_pos - L, [t - L],
-                                              roots_pos.size, rng, caps,
+                                              roots_pos.size, rng,
                                               collect_overshoots=True)
         ids, vals = forest.overshoots[float(t - L)]
         if ids.size:
@@ -295,12 +286,12 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
                                    * float(R(np.asarray(L))) * math.exp(rho * L),
                                    minlength=n_replicas)
         if forest.truncated.any():
-            invalid[np.unique(roots_rep[forest.truncated])] = True
+            invalid[roots_rep[forest.truncated]] = True
 
     norm = math.exp(-rho * x) / float(R(np.asarray(x)))
     Mstar *= norm
     w = 1.0 / Mstar
-    est = from_samples(w, label="P(H>0)")
+    est = from_samples(w)
     est.extra.update(rho=rho, t=float(t),
                      ess=float(w.sum() ** 2 / (w ** 2).sum()),
                      invalid_fraction=float(invalid.mean()),
@@ -311,21 +302,30 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     return est
 
 
-def _lattice_iid_spine_step(rep, R, y, idx, rng):
-    """One conditioned step for every active replica, grouped by position."""
-    sup = np.asarray(rep.spine_step.support(), float)
-    base = np.asarray(rep.spine_step.probs(), float)
-    znew = np.empty(y.size)
-    for y0 in np.unique(_lattice_key(y)):
-        rows = np.flatnonzero(_lattice_key(y) == y0)
-        wts = base * R(y0 + sup)
+def _lattice_spine_step(rep, R, y, idx, rng):
+    """One conditioned step for every active replica, grouped by position.
+
+    Each group draws its rows of the (displacement, probability) table
+    weighted by R at the landing site.  Pattern siblings leave in group
+    order, which is the order the off-spine forest takes its roots in.
+    """
+    keys = np.round(y, 9)
+    pick = np.empty(y.size, np.int64)
+    for y0 in np.unique(keys):
+        rows = np.flatnonzero(keys == y0)
+        wts = rep.choice_probs * R(y0 + rep.choice_z)
         tot = wts.sum()
         if tot <= 0.0:
             raise ValueError(f"conditioned spine is stuck at y = {y0}")
-        cdf = np.cumsum(wts) / tot
-        pick = np.searchsorted(cdf, rng.random(rows.size), side="right")
-        znew[rows] = y0 + sup[np.minimum(pick, sup.size - 1)]
-    return (znew, *_iid_litter(rep, y, idx, rng))
+        pick[rows] = _inverse_cdf(np.cumsum(wts) / tot, rng.random(rows.size))
+    znew = keys + rep.choice_z[pick]
+    if rep.sib_counts is None:
+        return (znew, *_iid_litter(rep, y, idx, rng))
+    order = np.argsort(keys, kind="stable")
+    counts = rep.sib_counts[pick[order]]
+    return (znew, np.repeat(idx[order], counts),
+            np.repeat(keys[order], counts)
+            + _take_runs(rep.sib_flat, rep.sib_offsets[pick[order]], counts))
 
 
 def _continuous_iid_spine_step(rep, R, renewal, y, idx, rng):
@@ -352,32 +352,8 @@ def _iid_litter(rep, y, idx, rng):
 
     The size-biased litter less the spine child; siblings take raw steps.
     """
-    u = rng.random(y.size)
-    ks = rep.nu_values[np.searchsorted(rep._nu_cdf, u, side="right")]
+    ks = rep.nu_values[_inverse_cdf(np.cumsum(rep.nu_probs), rng.random(y.size))]
     counts = ks.astype(np.int64) - 1
     srep = np.repeat(idx, counts)
     spos = np.repeat(y, counts) + rep.model.step.sample(rng, int(counts.sum()))
     return srep, spos
-
-
-def _pattern_spine_step(rep, R, y, idx, rng):
-    znew = np.empty(y.size)
-    sr, sp = [], []
-    for y0 in np.unique(_lattice_key(y)):
-        rows = np.flatnonzero(_lattice_key(y) == y0)
-        wts = rep.choice_probs * R(y0 + rep.choice_z)
-        tot = wts.sum()
-        if tot <= 0.0:
-            raise ValueError(f"conditioned spine is stuck at y = {y0}")
-        cdf = np.cumsum(wts) / tot
-        cid = np.searchsorted(cdf, rng.random(rows.size), side="right")
-        cid = np.minimum(cid, rep.choice_z.size - 1)
-        znew[rows] = y0 + rep.choice_z[cid]
-        counts = rep.sib_counts[cid]
-        starts = rep.sib_offsets[cid]
-        within = np.arange(int(counts.sum())) \
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        sr.append(np.repeat(idx[rows], counts))
-        sp.append(y0 + rep.sib_flat[np.repeat(starts, counts) + within])
-    return znew, np.concatenate(sr) if sr else np.empty(0, np.int64), \
-        np.concatenate(sp) if sp else np.empty(0)

@@ -20,6 +20,10 @@ from .estimates import EstimateWithCI, binomial_estimate, from_samples
 from .models import Regime
 from .walks import cramer_gamma, estimate_C_R, make_tilted_walk, passage_ensemble
 
+MIN_EXCEEDANCES = 20        # exceedances a grid point needs to enter a tail fit
+MIN_POINTS = 4              # usable grid points a tail fit needs
+CONVOLUTION_BLOCK = 1 << 21  # replicas per pass of convolution_tail_check
+
 
 def _as_regime(regime) -> Regime:
     if isinstance(regime, Regime):
@@ -60,7 +64,7 @@ class SurvivalTable:
         return np.array([e.value for e in self.estimates])
 
 
-def survival_curve(counts, grid, truncated=None, label: str = "") -> SurvivalTable:
+def survival_curve(counts, grid, truncated=None) -> SurvivalTable:
     counts = np.asarray(counts)
     grid = np.asarray(grid, float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
@@ -78,7 +82,6 @@ def survival_curve(counts, grid, truncated=None, label: str = "") -> SurvivalTab
         exceed[k] = int(over.sum())
         flagged[k] = bool(np.any(truncated & ~over))
         ests.append(binomial_estimate(int(exceed[k]), n,
-                                      label=f"{label}P(>{thr:g})",
                                       truncated_fraction=trunc_frac))
     return SurvivalTable(grid=grid, estimates=ests, exceedances=exceed,
                          flagged=flagged, n_replicas=n)
@@ -98,8 +101,8 @@ class TailFitReport:
     extra: dict = field(default_factory=dict)
 
 
-def tail_fit(table: SurvivalTable, regime, rho_ratio: float | None = None, *,
-             min_exceedances: int = 20, min_points: int = 4) -> TailFitReport:
+def tail_fit(table: SurvivalTable, regime,
+             rho_ratio: float | None = None) -> TailFitReport:
     """Fit the regime's tail law to a survival table.
 
     Subcritical: weighted least-squares slope of log P(Z>n) against log n
@@ -111,12 +114,12 @@ def tail_fit(table: SurvivalTable, regime, rho_ratio: float | None = None, *,
     which is the honest desk-scale reading of a (log n)^-2 correction.
     """
     regime = _as_regime(regime)
-    usable = (table.exceedances >= min_exceedances) \
+    usable = (table.exceedances >= MIN_EXCEEDANCES) \
         & (table.exceedances < table.n_replicas)
-    if int(usable.sum()) < min_points:
+    if int(usable.sum()) < MIN_POINTS:
         ach = table.grid[usable]
         raise ValueError(
-            f"need >= {min_points} grid points with >= {min_exceedances} "
+            f"need >= {MIN_POINTS} grid points with >= {MIN_EXCEEDANCES} "
             f"exceedances; achievable grid: {[float(g) for g in ach]}")
     grid = table.grid[usable]
     ests = [e for e, u in zip(table.estimates, usable) if u]
@@ -142,8 +145,7 @@ def tail_fit(table: SurvivalTable, regime, rho_ratio: float | None = None, *,
         intercept = float(y[0] - slope * x[0])
         dof = max(dx.size - 1, 1)
         chi2 = float(((dy - slope * dx) ** 2 / v).sum() / dof)
-        fitted = EstimateWithCI(value=slope, stderr=se, n_effective=float(grid.size),
-                                label="tail exponent")
+        fitted = EstimateWithCI(value=slope, stderr=se, n_effective=float(grid.size))
         report = TailFitReport(mode="SubcriticalSlope", grid=grid, survival=ests,
                                fitted_exponent_or_constant=fitted,
                                diagnostics=chi2,
@@ -158,8 +160,8 @@ def tail_fit(table: SurvivalTable, regime, rho_ratio: float | None = None, *,
         ok = grid > math.e          # (log n)^2 needs n safely above e
         grid, p = grid[ok], p[ok]
         ests = [e for e, u in zip(ests, ok) if u]
-        if grid.size < min_points:
-            raise ValueError("critical plateau needs >= 4 points above n = e")
+        if grid.size < MIN_POINTS:
+            raise ValueError(f"critical plateau needs >= {MIN_POINTS} points above n = e")
         scaled = grid * np.log(grid) ** 2 * p
         ses = grid * np.log(grid) ** 2 * np.array([e.stderr for e in ests])
         top = grid >= grid[-1] / 10.0
@@ -170,8 +172,7 @@ def tail_fit(table: SurvivalTable, regime, rho_ratio: float | None = None, *,
         # mean-of-stderrs bound holds for any correlation
         se = float(ses[half].mean())
         fitted = EstimateWithCI(value=mean, stderr=se,
-                                n_effective=float(half.sum()),
-                                label="plateau constant")
+                                n_effective=float(half.sum()))
         return TailFitReport(mode="CriticalPlateau", grid=grid, survival=ests,
                              fitted_exponent_or_constant=fitted,
                              diagnostics=ratio,
@@ -184,7 +185,7 @@ def tail_fit(table: SurvivalTable, regime, rho_ratio: float | None = None, *,
 # explicit constants of the tilted walks
 
 
-def _ratio_estimate(a: np.ndarray, b: np.ndarray, label: str) -> EstimateWithCI:
+def _ratio_estimate(a: np.ndarray, b: np.ndarray) -> EstimateWithCI:
     """mean(a)/mean(b) with the delta-method stderr for paired samples."""
     n = a.size
     ma, mb = float(a.mean()), float(b.mean())
@@ -193,12 +194,11 @@ def _ratio_estimate(a: np.ndarray, b: np.ndarray, label: str) -> EstimateWithCI:
            + ma ** 2 * cov[1, 1] / mb ** 4
            - 2.0 * ma * cov[0, 1] / mb ** 3) / n
     return EstimateWithCI(value=ma / mb, stderr=float(math.sqrt(max(var, 0.0))),
-                          n_effective=float(n), label=label)
+                          n_effective=float(n))
 
 
 def estimate_constants(model, regime, n_replicas: int, rng, *,
-                       max_steps: int = 10 ** 6,
-                       cutoff: float | None = None) -> dict[str, EstimateWithCI]:
+                       max_steps: int = 10 ** 6) -> dict[str, EstimateWithCI]:
     """MC estimates of the explicit tail constants for the model's regime.
 
     Critical: c_prime_crit = E[e^{-rho* S_tau} - 1] over the rho*-tilted
@@ -223,14 +223,13 @@ def estimate_constants(model, regime, n_replicas: int, rng, *,
         under = -ens.finals[ens.hit_below]          # -S_tau > 0
         tf = ens.truncated_fraction
         a = np.exp(rho * under) - 1.0
-        out["c_prime_crit"] = from_samples(a, label="c'_crit",
-                                           truncated_fraction=tf)
+        out["c_prime_crit"] = from_samples(a, truncated_fraction=tf)
         nu1 = model.mean_offspring - 1.0
         cp = out["c_prime_crit"]
         out["c_crit"] = EstimateWithCI(value=cp.value / nu1, stderr=cp.stderr / nu1,
                                        n_effective=cp.n_effective,
-                                       truncated_fraction=tf, label="c_crit")
-        out["c_star"] = _ratio_estimate(a, rho * under, "c*")
+                                       truncated_fraction=tf)
+        out["c_star"] = _ratio_estimate(a, rho * under)
         out["c_star"].truncated_fraction = tf
         out["C_R"] = estimate_C_R(tw, n_replicas, rng, max_steps=max_steps)
         return out
@@ -243,16 +242,15 @@ def estimate_constants(model, regime, n_replicas: int, rng, *,
         under = -ens.finals[ens.hit_below]
         tf = ens.truncated_fraction
         a = np.exp(rho_m * under) - 1.0
-        out["c_star_sub"] = _ratio_estimate(a, rho_m * under, "c*_sub")
+        out["c_star_sub"] = _ratio_estimate(a, rho_m * under)
         out["c_star_sub"].truncated_fraction = tf
 
         twp = make_tilted_walk(model, rho_p)
         gamma = cramer_gamma(twp.step)
-        b = cutoff if cutoff is not None else 40.0 / gamma
+        b = 40.0 / gamma
         pens = passage_ensemble(twp, 0.0, n_replicas, rng,
                                 lower=0.0, upper=b, max_steps=max_steps)
         q = binomial_estimate(int(pens.hit_above.sum()), n_replicas,
-                              label="Q(never below 0)",
                               truncated_fraction=pens.truncated_fraction)
         q.extra["cutoff"] = float(b)
         q.extra["certification_bound"] = float(math.exp(-gamma * b))
@@ -301,8 +299,7 @@ def yaglom_diagnostic(data_low, data_high, regime) -> YaglomReport:
                      data_high.p_survival.stderr / data_high.p_survival.value)
     ratio = EstimateWithCI(value=num / den, stderr=num / den * rel,
                            n_effective=float(min(data_low.n_survivors,
-                                                 data_high.n_survivors)),
-                           label="normalized survival ratio")
+                                                 data_high.n_survivors)))
     return YaglomReport(t_low=float(data_low.t), t_high=float(data_high.t),
                         regime=regime.value,
                         ks_min_overshoot=(float(ks1.statistic), float(ks1.pvalue)),
@@ -331,8 +328,7 @@ def pareto_samples(rng, n: int, p: float, a: float) -> np.ndarray:
 
 
 def convolution_tail_check(xi_sampler, y_sampler, p: float, a: float,
-                           n_replicas: int, t_grid, rng, *,
-                           block: int = 1 << 21) -> ConvolutionReport:
+                           n_replicas: int, t_grid, rng) -> ConvolutionReport:
     """Empirical t^p P(sum_{i<=xi} Y_i G_i > t) against the lemma limit.
 
     G is sampled from the exact Pareto tail, so the p=1 single-term case is
@@ -348,7 +344,7 @@ def convolution_tail_check(xi_sampler, y_sampler, p: float, a: float,
     ypsumsq = 0.0
     done = 0
     while done < n_replicas:
-        b = min(block, n_replicas - done)
+        b = min(CONVOLUTION_BLOCK, n_replicas - done)
         done += b
         xi = np.asarray(xi_sampler(rng, b), np.int64)
         if np.any(xi < 0):
@@ -364,16 +360,15 @@ def convolution_tail_check(xi_sampler, y_sampler, p: float, a: float,
         exceed += (sums[None, :] > t_grid[:, None]).sum(axis=1)
     scaled = []
     for k, t in enumerate(t_grid):
-        est = binomial_estimate(int(exceed[k]), n_replicas, label=f"t={t:g}")
+        est = binomial_estimate(int(exceed[k]), n_replicas)
         scaled.append(EstimateWithCI(value=t ** p * est.value,
                                      stderr=t ** p * est.stderr,
-                                     n_effective=est.n_effective,
-                                     label=est.label))
+                                     n_effective=est.n_effective))
     m = ypsum / n_replicas
     var = max(ypsumsq / n_replicas - m * m, 0.0)
     limit = EstimateWithCI(value=a * m,
                            stderr=a * math.sqrt(var / n_replicas),
-                           n_effective=float(n_replicas), label="a E[sum Y^p]")
+                           n_effective=float(n_replicas))
     rel = abs(scaled[-1].value - limit.value) / limit.value
     return ConvolutionReport(p=float(p), a=float(a), t_grid=t_grid,
                              scaled_tail=scaled, limit=limit,
@@ -400,6 +395,5 @@ def coupling_probe(Z, leaves, mean_offspring: float, grid,
     out = {}
     for n in np.asarray(grid, float):
         bad = (leaves > (mean_offspring - 1.0 + eps) * n) & (Z <= n)
-        out[float(n)] = binomial_estimate(int(bad.sum()), Z.size,
-                                          label=f"coupling n={n:g}")
+        out[float(n)] = binomial_estimate(int(bad.sum()), Z.size)
     return out

@@ -15,12 +15,14 @@ bookkeeping barriers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate, from_samples
-from .models import IidModel, PatternModel, Regime, log_laplace
+from .models import Regime, log_laplace
+
+LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
 
 
 @dataclass
@@ -35,20 +37,16 @@ class TreeRecord:
     total_progeny_Z: int
     leaf_count: int
     exploration_Y_Z: int
-    H_levels: dict
-    Z0L: dict
-    overshoot_measures: dict
     max_position: float
     truncated: bool
     generations_simulated: int
-    # (parent index, child count) per alive particle in birth order, only
-    # filled by the materializing simulator; index 0 is the root, parent -1
-    exploration: np.ndarray | None = None
+    # (parent index, child count) per alive particle in birth order;
+    # index 0 is the root, parent -1
+    exploration: np.ndarray
 
 
 @dataclass
 class ForestResult:
-    start_x: float
     probe_levels: np.ndarray
     Z: np.ndarray
     leaves: np.ndarray
@@ -67,44 +65,6 @@ class ForestResult:
     @property
     def truncated_fraction(self) -> float:
         return float(self.truncated.mean())
-
-    def record(self, i: int) -> TreeRecord:
-        levels = self.probe_levels
-        over = {}
-        for lv, (ids, vals) in self.overshoots.items():
-            over[lv] = vals[ids == i].tolist()
-        return TreeRecord(
-            start_x=self.start_x,
-            total_progeny_Z=int(self.Z[i]),
-            leaf_count=int(self.leaves[i]),
-            exploration_Y_Z=int(self.Y[i]),
-            H_levels={float(lv): int(self.H[k, i]) for k, lv in enumerate(levels)},
-            Z0L={float(lv): int(self.Z0L[k, i]) for k, lv in enumerate(levels)},
-            overshoot_measures=over,
-            max_position=float(self.max_position[i]),
-            truncated=bool(self.truncated[i]),
-            generations_simulated=int(self.generations[i]),
-        )
-
-
-def _spawn(model, pos, rng):
-    """Children of one frontier: nu per parent, flat (parent index, displacement)."""
-    n = pos.size
-    if isinstance(model, IidModel):
-        nu = model.nu.sample(rng, n).astype(np.int64)
-        parent = np.repeat(np.arange(n), nu)
-        disp = model.step.sample(rng, int(nu.sum()))
-        return nu, parent, disp
-    if isinstance(model, PatternModel):
-        sizes_tab, offsets_tab, flat = model.flat_layout
-        atom = model.sample_atom(rng, n)
-        nu = sizes_tab[atom]
-        parent = np.repeat(np.arange(n), nu)
-        starts = np.cumsum(nu) - nu
-        within = np.arange(parent.size) - np.repeat(starts, nu)
-        disp = flat[np.repeat(offsets_tab[atom], nu) + within]
-        return nu, parent, disp
-    raise TypeError("unsupported model type")
 
 
 def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
@@ -148,7 +108,7 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
     g = 0
     while ftree.size and g < caps.max_generations:
         g += 1
-        nu, parent, disp = _spawn(model, fpos, rng)
+        nu, parent, disp = model.spawn(rng, fpos.size)
         incoming = np.bincount(ftree, weights=nu, minlength=n_replicas)
         over_budget = births + incoming.astype(np.int64) > caps.max_particles
         if over_budget.any():
@@ -165,7 +125,7 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
             break
         births += np.bincount(ftree, weights=nu, minlength=n_replicas).astype(np.int64)
         Y += np.bincount(ftree, weights=nu - 1, minlength=n_replicas).astype(np.int64)
-        gen_last[np.unique(ftree)] = g
+        gen_last[ftree] = g
 
         cpos = fpos[parent] + disp
         ctree = ftree[parent]
@@ -194,8 +154,7 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
                     cmask[nc] |= bit
         cont = cpos <= top
         fpos, ftree, fmask = cpos[cont], ctree[cont], cmask[cont]
-    if ftree.size:
-        truncated[np.unique(ftree)] = True
+    truncated[ftree] = True
 
     overshoots = {}
     if collect_overshoots:
@@ -203,24 +162,15 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
             ids = np.concatenate(over_ids[k]) if over_ids[k] else np.empty(0, np.int64)
             vals = np.concatenate(over_vals[k]) if over_vals[k] else np.empty(0)
             overshoots[float(levels[k])] = (ids, vals)
-    return ForestResult(start_x=float(xarr[0]), probe_levels=levels, Z=Z,
-                        leaves=leaves, Y=Y, H=H, Z0L=Z0L, max_position=max_pos,
-                        truncated=truncated, generations=gen_last,
-                        overshoots=overshoots)
+    return ForestResult(probe_levels=levels, Z=Z, leaves=leaves, Y=Y, H=H,
+                        Z0L=Z0L, max_position=max_pos, truncated=truncated,
+                        generations=gen_last, overshoots=overshoots)
 
 
-def simulate_killed_tree(model, x: float, probe_levels, rng,
-                         caps: SimCaps = SimCaps(), *,
-                         materialize: bool = False) -> TreeRecord:
-    """One killed tree; with materialize=True the (parent, nu) skeleton of the
-    alive particles is kept for the exploration replay (probe-free trees only,
-    since frozen crossers have no recorded offspring)."""
-    if not materialize:
-        forest = simulate_killed_forest(model, x, probe_levels, 1, rng,
-                                        caps, collect_overshoots=True)
-        return forest.record(0)
-    if len(list(probe_levels)):
-        raise ValueError("materialized trees are probe-free")
+def simulate_killed_tree(model, x: float, rng,
+                         caps: SimCaps = SimCaps()) -> TreeRecord:
+    """One probe-free killed tree with the (parent, nu) skeleton of its alive
+    particles kept for the exploration replay."""
     if x < 0:
         raise ValueError("root below the barrier")
     parents = [-1]
@@ -234,7 +184,7 @@ def simulate_killed_tree(model, x: float, probe_levels, rng,
     gen_last = 0
     while fpos.size and g < caps.max_generations:
         g += 1
-        nu, parent, disp = _spawn(model, fpos, rng)
+        nu, parent, disp = model.spawn(rng, fpos.size)
         if len(parents) + parent.size > caps.max_particles:
             truncated = True
             break
@@ -261,7 +211,6 @@ def simulate_killed_tree(model, x: float, probe_levels, rng,
     y = 1 + int(skel[:, 1].sum()) - expanded
     return TreeRecord(start_x=float(x), total_progeny_Z=n_alive,
                       leaf_count=leaf_count, exploration_Y_Z=y,
-                      H_levels={}, Z0L={}, overshoot_measures={},
                       max_position=max_position, truncated=truncated,
                       generations_simulated=gen_last, exploration=skel)
 
@@ -275,8 +224,6 @@ def exploration_check(record: TreeRecord):
     """
     if record.truncated:
         return None
-    if record.exploration is None:
-        raise ValueError("record has no materialized exploration")
     skel = record.exploration
     n = skel.shape[0]
     children = [[] for _ in range(n)]
@@ -369,7 +316,7 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
         if g == n_max or tree.size == 0:
             break
 
-        nu, parent, disp = _spawn(model, pos, rng)
+        nu, parent, disp = model.spawn(rng, pos.size)
         incoming = np.bincount(tree, weights=nu, minlength=n_replicas)
         over = births + incoming.astype(np.int64) > max_particles
         cpos = pos[parent] + disp
@@ -396,7 +343,7 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
         births += incoming.astype(np.int64)
 
     alive_trees = np.zeros(n_replicas, bool)
-    alive_trees[np.unique(tree)] = True
+    alive_trees[tree] = True
     extinct = ~alive_trees & (credW == 0.0)
     return MartingaleFlow(generations=np.arange(n_max + 1), W=W, dW=dW, M=Mm,
                           extinct=extinct, truncated=truncated, rho_W=rho_w,
@@ -406,8 +353,7 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
 
 def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
                              rho=None, prune_eps: float = 1e-3,
-                             max_generations: int = 300,
-                             block: int = 5000) -> EstimateWithCI:
+                             max_generations: int = 300) -> EstimateWithCI:
     """Mean of sum e^{rho V} over the first-crossing line of level t, free tree.
 
     For mass-1 tilts with nonnegative drift every line of descent crosses t
@@ -432,14 +378,14 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
 
     mass = np.zeros(n_replicas)
     credited = np.zeros(n_replicas)
-    for lo in range(0, n_replicas, block):
-        nb = min(block, n_replicas - lo)
+    for lo in range(0, n_replicas, LINE_BLOCK):
+        nb = min(LINE_BLOCK, n_replicas - lo)
         pos = np.full(nb, float(x))
         tree = np.arange(nb, dtype=np.int64)
         g = 0
         while tree.size and g < max_generations:
             g += 1
-            nu, parent, disp = _spawn(model, pos, rng)
+            _, parent, disp = model.spawn(rng, pos.size)
             cpos = pos[parent] + disp
             ctree = tree[parent]
             w = np.exp(rho * cpos)
@@ -458,7 +404,7 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
             credited[lo:lo + nb] += np.bincount(tree, weights=np.exp(rho * pos),
                                                 minlength=nb)
     total = mass + credited
-    est = from_samples(total, label="line mass")
+    est = from_samples(total)
     est.extra.update(rho=float(rho),
                      credited_fraction=float(credited.sum() / max(total.sum(), 1e-300)),
                      target=math.exp(rho * x))
@@ -486,17 +432,17 @@ class YaglomDataset:
         return self.H.size
 
 
-def yaglom_samples(model, x: float, t: float, n_replicas: int, rng,
-                   caps: SimCaps = SimCaps(), *, rho=None) -> YaglomDataset:
+def yaglom_samples(model, x: float, t: float, n_replicas: int, rng, *,
+                   rho=None) -> YaglomDataset:
     """Overshoot datasets conditioned on reaching level t in the killed tree."""
     if rho is None:
         rho = model.analytics().regime_tilt()
-    forest = simulate_killed_forest(model, x, [t], n_replicas, rng, caps,
+    forest = simulate_killed_forest(model, x, [t], n_replicas, rng,
                                     collect_overshoots=True)
     h_all = forest.H[0]
     ids, vals = forest.overshoots[float(t)]
     surv = np.flatnonzero(h_all > 0)
-    p_surv = binomial_estimate(surv.size, n_replicas, label="P(H(t)>0)")
+    p_surv = binomial_estimate(surv.size, n_replicas)
     if surv.size == 0:
         raise RuntimeError(
             f"no replica reached level {t}: P(H(t)>0) <= {3.0 / n_replicas:.2e} "

@@ -27,11 +27,13 @@ from enum import Enum
 import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate
-from .models import IidModel, PatternModel, FiniteStep, lattice_span, log_laplace
+from .models import lattice_span, log_laplace
 
 MASS_TOL = 1e-8          # |psi(rho)| must be below this for a probability tilt
 DEFAULT_MAX_STEPS = 10 ** 7
 _MEM_ELEMENTS = 1 << 23  # soft cap on elements per simulation chunk
+RENEWAL_BLOCK = 1 << 15  # replicas per renewal pass; fixes the stream layout
+H1_REPLICAS = 200_000    # Monte Carlo budget of first_ladder_height_mean
 
 
 class StoppingReason(Enum):
@@ -99,17 +101,7 @@ def make_tilted_walk(model, rho) -> TiltedWalk:
     if abs(psi) > MASS_TOL:
         raise ValueError(f"psi({value}) = {psi:.3e}: not a probability tilt")
 
-    if isinstance(model, IidModel):
-        step = model.step.tilted(value)
-    elif isinstance(model, PatternModel):
-        sup = model.displacement_support()
-        weights = np.zeros(sup.size)
-        for q, pat in zip(model.atom_probs, model.patterns):
-            for z in pat:
-                weights[np.searchsorted(sup, z)] += q * math.exp(value * z)
-        step = FiniteStep(sup, weights / weights.sum())
-    else:
-        raise TypeError("unsupported model type")
+    step = model.tilted_step(value)
     sup = step.support()
     span = lattice_span(sup) if sup is not None else None
     return TiltedWalk(model=model, rho=value, step=step, drift=dpsi,
@@ -207,8 +199,8 @@ class PassageEnsemble:
     def undershoots(self) -> np.ndarray:
         return self.lower - self.finals[self.hit_below]
 
-    def p_hit_upper(self, label: str = "") -> EstimateWithCI:
-        est = binomial_estimate(int(self.hit_above.sum()), self.reasons.size, label=label)
+    def p_hit_upper(self) -> EstimateWithCI:
+        est = binomial_estimate(int(self.hit_above.sum()), self.reasons.size)
         est.truncated_fraction = self.truncated_fraction
         return est
 
@@ -349,7 +341,7 @@ def _finish_renewal(grid, sums, sumsq, n, method, truncated, cert_bound, span):
         var = max(sumsq[k] / n - mean * mean, 0.0)
         ests.append(EstimateWithCI(
             value=float(mean), stderr=float(math.sqrt(var / n)), n_effective=float(n),
-            truncated_fraction=truncated, label=f"R({grid[k]:g})"))
+            truncated_fraction=truncated))
     return RenewalEstimate(x_grid=grid, r_values=ests, method=method,
                            truncated_fraction=truncated,
                            certification_bound=cert_bound, span=span)
@@ -357,8 +349,7 @@ def _finish_renewal(grid, sums, sumsq, n, method, truncated, cert_bound, span):
 
 def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
                      method: str = "VisitCount",
-                     max_steps: int = 10 ** 6,
-                     block: int = 1 << 15) -> RenewalEstimate:
+                     max_steps: int = 10 ** 6) -> RenewalEstimate:
     """Estimate R(x) = E[# visits j < tau_star with S_j >= -x] on a grid.
 
     ``method`` "VisitCount" counts visits directly on walks run to tau_star
@@ -372,13 +363,13 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
         raise ValueError("renewal function needs drift >= 0 (star or plus tilt)")
     grid = _check_grid(x_grid)
     if method == "VisitCount":
-        return _renewal_visit_count(walk, grid, n_replicas, rng, max_steps, block)
+        return _renewal_visit_count(walk, grid, n_replicas, rng, max_steps)
     if method == "LadderDuality":
-        return _renewal_duality(walk, grid, n_replicas, rng, max_steps, block)
+        return _renewal_duality(walk, grid, n_replicas, rng, max_steps)
     raise ValueError(f"unknown renewal method {method!r}")
 
 
-def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps, block):
+def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
     x_max = grid[-1]
     sums = np.zeros(G)
@@ -386,7 +377,7 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps, block):
     n_trunc = 0
     done_total = 0
     while done_total < n_replicas:
-        b = min(block, n_replicas - done_total)
+        b = min(RENEWAL_BLOCK, n_replicas - done_total)
         done_total += b
         hist = np.zeros((b, G + 1), np.int64)
         rows = np.arange(b)          # live row -> block row
@@ -418,7 +409,7 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps, block):
                            n_trunc / n_replicas, 0.0, walk.span)
 
 
-def _renewal_duality(walk, grid, n_replicas, rng, max_steps, block):
+def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
     x_max = grid[-1]
     sup = walk.step.support()
@@ -428,8 +419,8 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps, block):
         # span and the ladder sequence never dies, so the duality sum
         # 1 + #{n: n*span <= x} is exact with no sampling at all
         values = np.floor(grid / walk.span + 1e-9) + 1.0
-        ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf,
-                               label=f"R({x:g})") for v, x in zip(values, grid)]
+        ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf)
+                for v in values]
         return RenewalEstimate(x_grid=grid, r_values=ests, method="LadderDuality",
                                span=walk.span)
     # drift-up walks terminate their ladder sequence with a Cramer certificate
@@ -446,7 +437,7 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps, block):
     cert_bound = 0.0
     done_total = 0
     while done_total < n_replicas:
-        b = min(block, n_replicas - done_total)
+        b = min(RENEWAL_BLOCK, n_replicas - done_total)
         done_total += b
         hist = np.zeros((b, G + 1), np.int64)
         trunc = np.zeros(b, bool)
@@ -500,8 +491,8 @@ def closed_form_renewal(walk: TiltedWalk, x_grid) -> RenewalEstimate:
         values = (1.0 - r ** (m + 1)) / (1.0 - r)
     else:
         raise ValueError("closed-form renewal needs drift >= 0")
-    ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf,
-                           label=f"R({x:g})") for v, x in zip(values, grid)]
+    ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf)
+            for v in values]
     return RenewalEstimate(x_grid=grid, r_values=ests, method="ClosedForm",
                            span=s)
 
@@ -527,8 +518,7 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
         se_mean = float(under.std(ddof=1) / math.sqrt(under.size))
         est = EstimateWithCI(value=1.0 / mean, stderr=se_mean / mean ** 2,
                              n_effective=float(under.size),
-                             truncated_fraction=ens.truncated_fraction,
-                             label="C_R")
+                             truncated_fraction=ens.truncated_fraction)
         method = "undershoot"
         cert = 0.0
     else:
@@ -539,8 +529,7 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
         p = binomial_estimate(int(ens.hit_above.sum()), n_replicas)
         est = EstimateWithCI(value=1.0 / p.value, stderr=p.stderr / p.value ** 2,
                              n_effective=float(n_replicas),
-                             truncated_fraction=ens.truncated_fraction,
-                             label="C_R")
+                             truncated_fraction=ens.truncated_fraction)
         method = "survival"
         cert = math.exp(-gamma * cutoff)
 
@@ -667,8 +656,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     return TanakaEnsemble(Z, truncated)
 
 
-def first_ladder_height_mean(walk: TiltedWalk, rng, *, n_replicas: int = 200_000,
-                             max_steps: int = 10 ** 6) -> tuple:
+def first_ladder_height_mean(walk: TiltedWalk, rng) -> tuple:
     """(E[H_1], stderr, truncated_fraction) for the first strict ascending ladder.
 
     Skip-free-up lattice walks (max step = +span) have H_1 = span exactly;
@@ -683,8 +671,8 @@ def first_ladder_height_mean(walk: TiltedWalk, rng, *, n_replicas: int = 200_000
             and abs(float(np.max(sup)) - walk.span) <= 1e-12:
         walk._h1_cache = (walk.span, 0.0, 0.0)
         return walk._h1_cache
-    ens = passage_ensemble(walk, 0.0, n_replicas, rng,
-                           lower=None, upper=0.0, max_steps=max_steps)
+    ens = passage_ensemble(walk, 0.0, H1_REPLICAS, rng,
+                           lower=None, upper=0.0, max_steps=10 ** 6)
     h = ens.finals[ens.hit_above]
     if h.size == 0:
         raise RuntimeError("no ladder epochs observed; drift too negative?")
@@ -712,23 +700,20 @@ class MinRecordEnsemble:
 
 
 def hat_s_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
-                   guard: int | None = None, max_steps: int = 10 ** 6,
-                   e_h1: tuple | None = None) -> MinRecordEnsemble:
+                   max_steps: int = 10 ** 6) -> MinRecordEnsemble:
     """Reweighted conditioned paths whose weighted law is the min-record chain.
 
     Weight = zeta_{sigma_tilde} / E[H_1] with sigma_tilde the last epoch in
-    1..n at the path minimum.  A sample whose sigma_tilde falls within
-    ``guard`` (default n/5) of the horizon cannot be certified as final (a
-    later epoch could still undercut the minimum) and is flagged; flagged
+    1..n at the path minimum.  A sample whose sigma_tilde falls within a
+    guard of max(1, n/5) epochs of the horizon cannot be certified as final
+    (a later epoch could still undercut the minimum) and is flagged; flagged
     samples carry weight but should be excluded and accounted by the caller.
     """
     n = int(n_steps)
     if n < 1:
         raise ValueError("need n_steps >= 1")
-    if guard is None:
-        guard = max(1, n // 5)
-    if e_h1 is None:
-        e_h1 = first_ladder_height_mean(walk, rng)
+    guard = max(1, n // 5)
+    e_h1 = first_ladder_height_mean(walk, rng)
     tk = tanaka_ensemble(walk, n, n_replicas, rng, max_steps=max_steps)
     body = np.where(np.isnan(tk.zeta[:, 1:]), np.inf, tk.zeta[:, 1:])
     rev_arg = body.shape[1] - 1 - np.argmin(body[:, ::-1], axis=1)

@@ -154,6 +154,20 @@ class TestSpine:
         assert s["scaled"]["value"] > 0
         assert s["estimate"]["stderr"] < s["naive"]["stderr"]
 
+    def test_naive_run_without_hits_passes_the_report(self, tmp_path):
+        # 0 of 20000 naive trees reach t = 6; the spine puts P near 1e-5
+        code = run_cli("spine", "--model", "critical-lattice", "--t", 6,
+                       "--replicas", 3000, "--naive-replicas", 20_000,
+                       "--seed", 3, "--out", tmp_path / "sp")
+        assert code == 0
+        s = json.loads((tmp_path / "sp" / "summary.json").read_text())
+        assert s["naive"]["value"] == 0.0 and s["naive"]["stderr"] == 0.0
+        assert s["z_spine_vs_naive"] < 1.0
+        assert run_cli("report", "--runs", tmp_path / "sp",
+                       "--out", tmp_path / "rep") == 0
+        rows = json.loads((tmp_path / "rep" / "summary.json").read_text())["rows"]
+        assert {r["criterion"]: r["status"] for r in rows}[8] == "PASS"
+
     def test_continuous_model_needs_renewal_grid(self, tmp_path, capsys):
         escaping = models.model_to_json(models.IidModel(
             models.FixedOffspring(2), models.TwoPointStep(1.0, -1.0, 0.5)))

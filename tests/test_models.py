@@ -214,12 +214,13 @@ class TestPatternModel:
         with pytest.raises(ValueError):
             PatternModel([(0.5, (0.1, 0.2)), (0.4, (0.3, -0.3))])
 
-    def test_sample_offspring_uses_atoms(self):
+    def test_spawn_uses_atoms(self):
         m = PatternModel([(0.5, (1.0, -1.0)), (0.5, (2.0, -2.0, 0.5))])
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            kids = m.sample_offspring(rng, x=10.0)
-            assert sorted(kids - 10.0) in ([-1.0, 1.0], [-2.0, 0.5, 2.0])
+        nu, parent, disp = m.spawn(np.random.default_rng(0), 20)
+        assert set(nu.tolist()) == {2, 3}
+        assert np.array_equal(parent, np.repeat(np.arange(20), nu))
+        for i in range(20):
+            assert disp[parent == i].tolist() in ([1.0, -1.0], [2.0, -2.0, 0.5])
 
 
 class TestOffspring:

@@ -81,6 +81,24 @@ class TestSpineLaw:
         p = rep.spine_step.probs()[list(sup).index(1.0)]
         assert abs(p - P_UP_TILTED) < 1e-12
 
+    def test_largest_uniform_draws_the_last_litter_size(self):
+        # the size-biased cdf of {2: 0.3, 3: 0.7} ends at 1 - 2^-53, the
+        # largest value Generator.random returns
+        m = models.IidModel(models.PmfOffspring([2, 3], [0.3, 0.7]),
+                            models.TwoPointStep(1.0, -1.0, 0.01))
+        rep = spines.tilted_reproduction(m)
+        u = np.nextafter(1.0, 0.0)
+        assert np.cumsum(rep.nu_probs)[-1] == u
+
+        class TopRng:
+            def random(self, n):
+                return np.full(n, u)
+
+        srep, spos = spines._iid_litter(rep, np.array([5.0]), np.array([0]),
+                                        TopRng())
+        assert srep.tolist() == [0, 0]          # litter of 3: two siblings
+        assert spos.tolist() == [4.0, 4.0]
+
     def test_pattern_spine_is_symmetric_walk(self, pattern):
         table = spines.tilted_reproduction(pattern).signature_table()
         p_up = sum(v for (z, _), v in table.items() if z > 0)

@@ -56,6 +56,16 @@ class ScriptedRng:
         return out.reshape(size) if size is not None else out[0]
 
 
+def scripted_counts(model, x, disps):
+    """(Z, leaves, Y) of one scripted tree from the forest engine and from
+    the materialized tree."""
+    f = trees.simulate_killed_forest(model, x, [], 1,
+                                     ScriptedRng(disps, model.step.mu))
+    rec = trees.simulate_killed_tree(model, x, ScriptedRng(disps, model.step.mu))
+    return [(int(f.Z[0]), int(f.leaves[0]), int(f.Y[0])),
+            (rec.total_progeny_Z, rec.leaf_count, rec.exploration_Y_Z)]
+
+
 class TestForestCounts:
     def test_no_truncation_at_default_caps(self, plain_forest):
         assert plain_forest.truncated_fraction == 0.0
@@ -105,19 +115,12 @@ class TestForestCounts:
         assert np.allclose(vals, 1.0)
 
     def test_trace_root_with_two_dead_children(self, gauss):
-        rng = ScriptedRng([-0.8, -0.8], gauss.step.mu)
-        rec = trees.simulate_killed_tree(gauss, 0.5, [], rng)
-        assert rec.total_progeny_Z == 1
-        assert rec.leaf_count == 2
-        assert rec.exploration_Y_Z == 2
+        assert scripted_counts(gauss, 0.5, [-0.8, -0.8]) == [(1, 2, 2)] * 2
 
     def test_trace_one_survivor_then_extinction(self, gauss):
         # gen 1: children at 0.2 and -0.1; gen 2: both of 0.2's children die
-        rng = ScriptedRng([-0.3, -0.6, -0.5, -0.7], gauss.step.mu)
-        rec = trees.simulate_killed_tree(gauss, 0.5, [], rng)
-        assert rec.total_progeny_Z == 2
-        assert rec.leaf_count == 3
-        assert rec.exploration_Y_Z == 3
+        got = scripted_counts(gauss, 0.5, [-0.3, -0.6, -0.5, -0.7])
+        assert got == [(2, 3, 3)] * 2
 
     def test_rejects_negative_start(self, model_c):
         with pytest.raises(ValueError):
@@ -147,9 +150,7 @@ class TestExplorationReplay:
     def test_replay_confirms_simulated_trees(self, gauss):
         confirmed = 0
         for s in range(60):
-            rec = trees.simulate_killed_tree(gauss, 1.0, [],
-                                             rng_for_block(301, s),
-                                             materialize=True)
+            rec = trees.simulate_killed_tree(gauss, 1.0, rng_for_block(301, s))
             verdict = trees.exploration_check(rec)
             if rec.truncated:
                 assert verdict is None
@@ -161,9 +162,8 @@ class TestExplorationReplay:
     def test_replay_indeterminate_when_truncated(self, gauss):
         caps = trees.SimCaps(max_particles=4)
         for s in range(40):
-            rec = trees.simulate_killed_tree(gauss, 2.0, [],
-                                             rng_for_block(302, s), caps,
-                                             materialize=True)
+            rec = trees.simulate_killed_tree(gauss, 2.0, rng_for_block(302, s),
+                                             caps)
             if rec.truncated:
                 assert trees.exploration_check(rec) is None
                 return
@@ -171,20 +171,12 @@ class TestExplorationReplay:
 
     def test_replay_detects_mutation(self, gauss):
         for s in range(40):
-            rec = trees.simulate_killed_tree(gauss, 1.0, [],
-                                             rng_for_block(303, s),
-                                             materialize=True)
+            rec = trees.simulate_killed_tree(gauss, 1.0, rng_for_block(303, s))
             if not rec.truncated and rec.exploration.shape[0] > 1:
                 rec.exploration[0, 1] += 1
                 assert trees.exploration_check(rec) is False
                 return
         pytest.fail("no suitable tree found")
-
-    def test_materialize_refuses_probes(self, gauss):
-        with pytest.raises(ValueError):
-            trees.simulate_killed_tree(gauss, 1.0, [2.0],
-                                       rng_for_block(304, 0),
-                                       materialize=True)
 
 
 class TestMartingales:
