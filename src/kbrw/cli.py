@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,7 @@ from .estimates import binomial_estimate, pooled_z
 from .seeds import SEED_SCHEME, rng_for_block
 
 BLOCK = 1 << 14     # replicas per seed block; fixed so layout is worker-free
+CSV_BLOCK = 1 << 16  # CSV rows formatted and hashed per write
 
 
 class ConfigError(Exception):
@@ -60,6 +62,18 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     return repr(float(v))
+
+
+def _cells(column) -> list[str]:
+    """`_fmt` of every value of a column, by one C-level map per dtype."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "b":
+            column = column.astype(np.uint8)
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
 
 
 def _fmt_level(t: float) -> str:
@@ -97,10 +111,24 @@ class Run:
     def write_json(self, name: str, obj) -> None:
         self.write_text(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
-    def write_csv(self, name: str, header: list[str], rows) -> None:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        self.write_text(name, "\n".join(lines) + "\n")
+    def write_csv(self, name: str, header: list[str], columns) -> None:
+        """One array or sequence per column, written and hashed CSV_BLOCK
+        rows at a time; the bytes are those of `_fmt` applied row by row."""
+        n = len(columns[0]) if columns else 0
+        if any(len(c) != n for c in columns):
+            raise ValueError(f"{name}: columns differ in length")
+        digest = hashlib.sha256()
+        with open(self.config.output_dir / name, "wb") as fh:
+            def put(lines: str) -> None:
+                data = (lines + "\n").encode()
+                fh.write(data)
+                digest.update(data)
+
+            put(",".join(header))
+            for lo in range(0, n, CSV_BLOCK):
+                cells = [_cells(c[lo:lo + CSV_BLOCK]) for c in columns]
+                put("\n".join(map(",".join, zip(*cells))))
+        self.outputs[name] = digest.hexdigest()
 
     def finish(self, truncation: dict) -> int:
         manifest = {
@@ -223,9 +251,8 @@ def cmd_simulate(args) -> int:
 
     header = ["replica", "Z", "leaves", "Y", "truncated", "generations",
               "max_position"] + [f"H_{_fmt_level(t)}" for t in levels]
-    rows = ((i, Z[i], leaves[i], Y[i], trunc[i], gens[i], maxpos[i],
-             *H[:, i]) for i in range(n))
-    run.write_csv("records.csv", header, rows)
+    run.write_csv("records.csv", header,
+                  [np.arange(n), Z, leaves, Y, trunc, gens, maxpos, *H])
 
     # the identity between the exploration count and the leaf count holds
     # for fully explored trees only: crossers freeze at the top probe level,
@@ -344,6 +371,7 @@ def cmd_walk(args) -> int:
     ls = np.array([e.stderr for e in ladder.r_values])
     z = pooled_z(vv, vs, lv, ls)
     rel_err = None
+    cf = [None] * grid.size
     if closed is not None:
         cf = closed.values()
         rel_err = float(max(np.max(np.abs(vv - cf) / cf),
@@ -352,13 +380,10 @@ def cmd_walk(args) -> int:
     cr = walks.estimate_C_R(tw, args.replicas, rng_for_block(seed, 2),
                             probe_t=args.probe_t, max_steps=args.max_steps)
 
-    rows = []
-    for k in range(grid.size):
-        rows.append((grid[k], closed.values()[k] if closed is not None else None,
-                     vv[k], vs[k], lv[k], ls[k], z[k]))
     run.write_csv("records.csv",
                   ["x", "closed_form", "visit", "visit_stderr",
-                   "ladder", "ladder_stderr", "pooled_z"], rows)
+                   "ladder", "ladder_stderr", "pooled_z"],
+                  [grid, cf, vv, vs, lv, ls, z])
 
     summary = {
         "kind": "walk",
@@ -467,11 +492,11 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    rows = [(g, res.alive[g], res.leaves[g], res.crossers[g], res.wsum[g],
-             res.vwsum[g]) for g in range(args.depth + 1)]
     run.write_csv("records.csv",
                   ["generation", "alive", "leaves", "crossers", "wsum",
-                   "vwsum"], rows)
+                   "vwsum"],
+                  [np.arange(args.depth + 1), res.alive, res.leaves,
+                   res.crossers, res.wsum, res.vwsum])
     summary = {
         "kind": "oracle",
         "model": _model_doc(model),
@@ -496,13 +521,27 @@ def cmd_estimate(args) -> int:
     for p in paths:
         if not p.exists():
             raise ConfigError(f"records file {p} does not exist")
-        data = np.genfromtxt(p, delimiter=",", names=True)
-        if data.dtype.names is None or args.statistic not in data.dtype.names:
+        with open(p) as fh:
+            header = [name.strip() for name in fh.readline().split(",")]
+        if args.statistic not in header:
             raise ConfigError(f"{p} has no column {args.statistic!r}")
-        data = np.atleast_1d(data)
-        counts.append(data[args.statistic])
-        trunc.append(data["truncated"] > 0.5 if "truncated" in data.dtype.names
-                     else np.zeros(data.size, bool))
+        cols = [header.index(args.statistic)]
+        if "truncated" in header:
+            cols.append(header.index("truncated"))
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is zero replicas, not a fault
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                data = np.loadtxt(p, delimiter=",", skiprows=1, usecols=cols,
+                                  ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{p}: {exc}") from exc
+        if np.isnan(data).any():
+            raise ConfigError(f"{p}: a {args.statistic} or truncated cell "
+                              "is nan")
+        counts.append(data[:, 0])
+        trunc.append(data[:, 1] > 0.5 if len(cols) == 2
+                     else np.zeros(len(data), bool))
     counts = np.concatenate(counts)
     trunc = np.concatenate(trunc)
     grid = _parse_grid(args.grid)
@@ -527,12 +566,10 @@ def cmd_estimate(args) -> int:
     else:
         expo = -args.rho_ratio if args.rho_ratio is not None else -fit.value
         normalized = ps * rep.grid ** expo
-    rows = [(rep.grid[k], int(round(ps[k] * table.n_replicas)), ps[k],
-             rep.survival[k].stderr, normalized[k])
-            for k in range(rep.grid.size)]
     run.write_csv("curve.csv",
                   ["n", "exceedances", "survival", "stderr", "normalized"],
-                  rows)
+                  [rep.grid, [int(round(p * table.n_replicas)) for p in ps],
+                   ps, [e.stderr for e in rep.survival], normalized])
 
     summary = {
         "kind": "estimate",

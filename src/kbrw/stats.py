@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .estimates import EstimateWithCI, binomial_estimate, from_samples
 from .models import Regime
@@ -288,6 +287,8 @@ def yaglom_diagnostic(data_low, data_high, regime) -> YaglomReport:
         raise ValueError("both datasets must contain survivors")
     if data_low.t >= data_high.t:
         raise ValueError("pass the lower level first")
+    # scipy is the one import the command line never needs: load it here
+    from scipy import stats as sps
     ks1 = sps.ks_2samp(data_low.min_overshoot, data_high.min_overshoot)
     ks2 = sps.ks_2samp(np.log(data_low.tilted_mass),
                        np.log(data_high.tilted_mass))

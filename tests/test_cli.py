@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbrw import cli, oracle, models
 
@@ -97,6 +101,48 @@ class TestExitCodes:
         assert doc["regime"] == "subcritical"
         assert doc["rho_minus"] == pytest.approx(0.9362934400221681, abs=1e-12)
         assert doc["rho_plus"] == pytest.approx(2.0081455391442722, abs=1e-12)
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy serves only stats.yaglom_diagnostic, which no command calls
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, kbrw.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+# repr turns to exponent form at 1e-05 and 1e16; 5e-324 and 1e-310 are subnormal
+SPECIAL_FLOATS = [1e-05, 1e16, -0.0, 5e-324, 1e-310, float("inf"),
+                  float("-inf"), float("nan")]
+
+
+class TestWriteCsv:
+    @given(n=st.sampled_from([0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK,
+                              cli.CSV_BLOCK + 1]),
+           ints=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
+                         max_size=8),
+           bools=st.lists(st.booleans(), min_size=1, max_size=8),
+           floats=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                           min_size=1, max_size=8))
+    @settings(max_examples=15, deadline=None)
+    def test_bytes_match_rowwise_fmt(self, n, ints, bools, floats):
+        header = ["i", "b", "f", "none"]
+        columns = [np.resize(np.array(ints, np.int64), n),
+                   np.resize(np.array(bools), n),
+                   np.resize(np.array(floats), n), [None] * n]
+        lines = [",".join(header)]
+        lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+        want = ("\n".join(lines) + "\n").encode()
+        with tempfile.TemporaryDirectory() as d:
+            run = cli.Run(cli.ExperimentConfig("test", None, {}, None, Path(d)))
+            run.write_csv("t.csv", header, columns)
+            got = (Path(d) / "t.csv").read_bytes()
+        assert got == want
+        assert run.outputs["t.csv"] == hashlib.sha256(got).hexdigest()
 
 
 class TestAnalyzeModel:
@@ -223,12 +269,73 @@ class TestEstimate:
         assert code == 2
         assert "achievable grid" in capsys.readouterr().err
 
-    def test_missing_column_is_config_error(self, tmp_path):
+    def test_missing_column_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        code = run_cli("estimate", "--records", bad, "--regime", "subcritical",
+        for text, statistic in (("a,b\n1,2\n", "Z"),
+                                ("replica,Z,truncated\n0,3,0\n", "leaves")):
+            bad.write_text(text)
+            code = run_cli("estimate", "--records", bad, "--statistic",
+                           statistic, "--regime", "subcritical",
+                           "--grid", "2,4,8,16", "--out", tmp_path / "est")
+            assert code == 2
+            assert f"no column {statistic!r}" in capsys.readouterr().err
+
+    def test_blank_or_non_numeric_cell_is_config_error(self, tmp_path, capsys):
+        # such a row used to read as NaN: counted, yet never past a threshold
+        rows = [(i, i % 50, 0) for i in range(20_000)]
+        for col, cell in ((1, ""), (1, "x"), (1, "nan"), (2, "")):
+            bad = tmp_path / f"bad{col}{cell}.csv"
+            text = ["replica,Z,truncated"]
+            for row in rows:
+                cells = [str(v) for v in row]
+                if row[0] % 10 == 9:
+                    cells[col] = cell
+                text.append(",".join(cells))
+            bad.write_text("\n".join(text) + "\n")
+            code = run_cli("estimate", "--records", bad, "--regime",
+                           "subcritical", "--grid", "2,4,8,16",
+                           "--out", tmp_path / "est")
+            assert code == 2, (col, cell)
+            err = capsys.readouterr().err
+            assert "config error" in err and str(bad) in err
+
+    def test_file_without_truncated_column(self, tmp_path):
+        z = np.arange(4000) % 64
+        rec = tmp_path / "rec.csv"
+        rec.write_text("replica,Z\n"
+                       + "".join(f"{i},{v}\n" for i, v in enumerate(z)))
+        code = run_cli("estimate", "--records", rec, "--regime", "subcritical",
                        "--grid", "2,4,8,16", "--out", tmp_path / "est")
-        assert code == 2
+        assert code == 0
+        s = json.loads((tmp_path / "est" / "summary.json").read_text())
+        assert s["n_replicas"] == 4000 and s["truncated_fraction"] == 0.0
+        d = np.genfromtxt(tmp_path / "est" / "curve.csv", delimiter=",",
+                          names=True)
+        assert d["exceedances"].tolist() == [int((z > n).sum())
+                                             for n in (2, 4, 8, 16)]
+
+    def test_one_row_and_header_only_files(self, sim_runs, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("replica,Z,truncated\n0,100,1\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("replica,Z,truncated\n")
+        for rec in (one, empty):
+            code = run_cli("estimate", "--records", rec, "--regime",
+                           "subcritical", "--grid", "2,4,8,16",
+                           "--out", tmp_path / "est")
+            assert code == 2
+            assert "achievable grid: []" in capsys.readouterr().err
+        # the one row counts as one more replica, a truncated one
+        tp = sim_runs / "tp" / "records.csv"
+        for recs, extra in ((f"{tp}", 0), (f"{one},{tp},{empty}", 1)):
+            assert run_cli("estimate", "--records", recs, "--regime",
+                           "subcritical", "--grid", "2,4,8,16",
+                           "--out", tmp_path / f"est{extra}") == 0
+        a, b = (json.loads((tmp_path / f"est{k}" / "summary.json").read_text())
+                for k in (0, 1))
+        assert b["n_replicas"] == a["n_replicas"] + 1
+        assert b["truncated_fraction"] * b["n_replicas"] == pytest.approx(
+            a["truncated_fraction"] * a["n_replicas"] + 1)
 
 
 class TestReport:
