@@ -226,19 +226,24 @@ def cmd_simulate(args) -> int:
              "survival_curve": args.survival_curve}
     config = ExperimentConfig("simulate", _model_doc(model), flags, seed,
                               Path(args.out))
-    run = Run(config)
 
     model_json = models.model_to_json(model)
     tasks = [(model_json, args.x, tuple(levels), min(BLOCK, n - i * BLOCK),
               seed, i, args.max_particles, args.max_generations)
              for i in range((n + BLOCK - 1) // BLOCK)]
     workers = _workers(args)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sim_block, tasks, chunksize=1))
-    else:
-        parts = [_sim_block(t) for t in tasks]
+    try:
+        # the forest checks the start, the levels and the regime before its
+        # first draw; the run directory is made only once the blocks are in
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_sim_block, tasks, chunksize=1))
+        else:
+            parts = [_sim_block(t) for t in tasks]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     parts.sort(key=lambda p: p[0])
+    run = Run(config)
 
     Z = np.concatenate([p[1] for p in parts])
     leaves = np.concatenate([p[2] for p in parts])
@@ -485,12 +490,12 @@ def cmd_oracle(args) -> int:
     flags = {"x": args.x, "depth": args.depth, "level": args.level}
     config = ExperimentConfig("oracle", _model_doc(model), flags, None,
                               Path(args.out))
-    run = Run(config)
     try:
         res = oracle.tree_expectations(model, args.x, args.depth,
                                        level=args.level)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    run = Run(config)
 
     run.write_csv("records.csv",
                   ["generation", "alive", "leaves", "crossers", "wsum",

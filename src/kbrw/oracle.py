@@ -105,6 +105,8 @@ def tree_expectations(model, x: float, depth: int, *, barrier: bool = True,
     is the stopping-line bookkeeping.  ``barrier=False`` disables the killing
     (free tree), for additive-martingale expectations.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     vals, intens = _intensity(model)
     span = lattice_span(vals)
     if span is None:

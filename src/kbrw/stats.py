@@ -1,11 +1,12 @@
-"""Tail exponents, explicit constants, and distributional diagnostics.
+"""Tail exponents, explicit constants, and the convolution-tail check.
 
 The simulation modules produce per-tree record tables; everything here is
 post-processing.  Survival curves keep truncated trees as honest lower
 bounds, the two tail laws get their own fit modes (log-log slope when the
 exponent is a free ratio, plateau of n (log n)^2 P(Z>n) at criticality),
 and the explicit constants come from first-passage functionals of the
-tilted walks rather than from the trees themselves.
+tilted walks rather than from the trees themselves.  The convolution check
+samples the heavy-tail lemma directly, with exact Pareto factors.
 """
 
 from __future__ import annotations
@@ -261,54 +262,6 @@ def estimate_constants(model, regime, n_replicas: int, rng, *,
 
 
 # ---------------------------------------------------------------------------
-# Yaglom-type convergence diagnostics
-
-
-@dataclass
-class YaglomReport:
-    t_low: float
-    t_high: float
-    regime: str
-    ks_min_overshoot: tuple[float, float]   # statistic, p-value
-    ks_log_mass: tuple[float, float]
-    ratio: EstimateWithCI                   # normalized survival, low/high
-
-
-def yaglom_diagnostic(data_low, data_high, regime) -> YaglomReport:
-    """Compare two conditioned crossing datasets at different levels.
-
-    Two-sample KS on the minimal overshoot and on the log of the total
-    tilted mass probes the distributional limit; the normalized-survival
-    ratio probes the claimed t e^{-rho t} (critical) or e^{-rho t}
-    (subcritical) decay of the crossing probability itself.
-    """
-    regime = _as_regime(regime)
-    if data_low.n_survivors == 0 or data_high.n_survivors == 0:
-        raise ValueError("both datasets must contain survivors")
-    if data_low.t >= data_high.t:
-        raise ValueError("pass the lower level first")
-    # scipy is the one import the command line never needs: load it here
-    from scipy import stats as sps
-    ks1 = sps.ks_2samp(data_low.min_overshoot, data_high.min_overshoot)
-    ks2 = sps.ks_2samp(np.log(data_low.tilted_mass),
-                       np.log(data_high.tilted_mass))
-    num = survival_scale(data_low.t, data_low.rho, regime) \
-        * data_low.p_survival.value
-    den = survival_scale(data_high.t, data_high.rho, regime) \
-        * data_high.p_survival.value
-    rel = math.hypot(data_low.p_survival.stderr / data_low.p_survival.value,
-                     data_high.p_survival.stderr / data_high.p_survival.value)
-    ratio = EstimateWithCI(value=num / den, stderr=num / den * rel,
-                           n_effective=float(min(data_low.n_survivors,
-                                                 data_high.n_survivors)))
-    return YaglomReport(t_low=float(data_low.t), t_high=float(data_high.t),
-                        regime=regime.value,
-                        ks_min_overshoot=(float(ks1.statistic), float(ks1.pvalue)),
-                        ks_log_mass=(float(ks2.statistic), float(ks2.pvalue)),
-                        ratio=ratio)
-
-
-# ---------------------------------------------------------------------------
 # convolution-tail lemma check
 
 
@@ -375,26 +328,3 @@ def convolution_tail_check(xi_sampler, y_sampler, p: float, a: float,
                              scaled_tail=scaled, limit=limit,
                              relative_deviation_at_top=float(rel))
 
-
-# ---------------------------------------------------------------------------
-# leaf-count coupling probe
-
-
-def coupling_probe(Z, leaves, mean_offspring: float, grid,
-                   eps: float = 1.0) -> dict[float, EstimateWithCI]:
-    """P(#L[0] > (E[nu] - 1 + eps) n and Z <= n) per grid point.
-
-    The leaf count of a tree with total progeny Z is at most a
-    large-deviation fluctuation away from (E[nu]-1) Z, so this joint event
-    should be vanishingly rare; a visible rate means the two counts came
-    from different trees.
-    """
-    Z = np.asarray(Z)
-    leaves = np.asarray(leaves)
-    if Z.shape != leaves.shape:
-        raise ValueError("Z and leaf counts must be paired per tree")
-    out = {}
-    for n in np.asarray(grid, float):
-        bad = (leaves > (mean_offspring - 1.0 + eps) * n) & (Z <= n)
-        out[float(n)] = binomial_estimate(int(bad.sum()), Z.size)
-    return out

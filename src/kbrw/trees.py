@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import EstimateWithCI, binomial_estimate, from_samples
+from .estimates import EstimateWithCI, from_samples
 from .models import Regime, log_laplace
 
 LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
@@ -33,13 +33,10 @@ class SimCaps:
 
 @dataclass
 class TreeRecord:
-    start_x: float
     total_progeny_Z: int
     leaf_count: int
     exploration_Y_Z: int
-    max_position: float
     truncated: bool
-    generations_simulated: int
     # (parent index, child count) per alive particle in birth order;
     # index 0 is the root, parent -1
     exploration: np.ndarray
@@ -52,7 +49,6 @@ class ForestResult:
     leaves: np.ndarray
     Y: np.ndarray
     H: np.ndarray            # (n_levels, n_replicas)
-    Z0L: np.ndarray          # (n_levels, n_replicas)
     max_position: np.ndarray
     truncated: np.ndarray
     generations: np.ndarray
@@ -95,7 +91,6 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
     Y = np.ones(n_replicas, np.int64)
     births = np.ones(n_replicas, np.int64)
     H = np.zeros((nl, n_replicas), np.int64)
-    Z0L = np.zeros((nl, n_replicas), np.int64)
     max_pos = xarr.astype(float).copy()
     truncated = np.zeros(n_replicas, bool)
     gen_last = np.zeros(n_replicas, np.int64)
@@ -134,9 +129,6 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         dead = cpos < 0.0
         if dead.any():
             leaves += np.bincount(ctree[dead], minlength=n_replicas)
-            for k in range(nl):
-                unc = dead & ((cmask & np.uint8(1 << k)) == 0)
-                Z0L[k] += np.bincount(ctree[unc], minlength=n_replicas)
 
         alive = ~dead
         cpos, ctree, cmask = cpos[alive], ctree[alive], cmask[alive]
@@ -163,7 +155,7 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
             vals = np.concatenate(over_vals[k]) if over_vals[k] else np.empty(0)
             overshoots[float(levels[k])] = (ids, vals)
     return ForestResult(probe_levels=levels, Z=Z, leaves=leaves, Y=Y, H=H,
-                        Z0L=Z0L, max_position=max_pos, truncated=truncated,
+                        max_position=max_pos, truncated=truncated,
                         generations=gen_last, overshoots=overshoots)
 
 
@@ -175,20 +167,17 @@ def simulate_killed_tree(model, x: float, rng,
         raise ValueError("root below the barrier")
     parents = [-1]
     nus = [0]
-    max_position = float(x)
     frontier = [0]
     fpos = np.array([float(x)])
     leaf_count = 0
     truncated = False
     g = 0
-    gen_last = 0
     while fpos.size and g < caps.max_generations:
         g += 1
         nu, parent, disp = model.spawn(rng, fpos.size)
         if len(parents) + parent.size > caps.max_particles:
             truncated = True
             break
-        gen_last = g
         for i, count in enumerate(nu):
             nus[frontier[i]] = int(count)
         cpos = fpos[parent] + disp
@@ -199,8 +188,6 @@ def simulate_killed_tree(model, x: float, rng,
         for j in alive:
             parents.append(frontier[parent[j]])
             nus.append(0)
-        if alive.size:
-            max_position = max(max_position, float(cpos[alive].max()))
         frontier = list(range(base, base + alive.size))
         fpos = cpos[alive]
     truncated = truncated or fpos.size > 0
@@ -209,10 +196,8 @@ def simulate_killed_tree(model, x: float, rng,
     n_alive = skel.shape[0]
     expanded = n_alive - fpos.size      # frontier at exit was never expanded
     y = 1 + int(skel[:, 1].sum()) - expanded
-    return TreeRecord(start_x=float(x), total_progeny_Z=n_alive,
-                      leaf_count=leaf_count, exploration_Y_Z=y,
-                      max_position=max_position, truncated=truncated,
-                      generations_simulated=gen_last, exploration=skel)
+    return TreeRecord(total_progeny_Z=n_alive, leaf_count=leaf_count,
+                      exploration_Y_Z=y, truncated=truncated, exploration=skel)
 
 
 def exploration_check(record: TreeRecord):
@@ -410,53 +395,3 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
                      target=math.exp(rho * x))
     return est
 
-
-# ---------------------------------------------------------------------------
-# conditioned overshoot datasets at a crossing level
-
-
-@dataclass
-class YaglomDataset:
-    t: float
-    rho: float
-    H: np.ndarray                 # crosser counts, survivors only
-    overshoots: list              # one array of overshoot values per survivor
-    tilted_mass: np.ndarray       # sum e^{rho (V - t)} per survivor
-    min_overshoot: np.ndarray
-    p_survival: EstimateWithCI
-    n_replicas: int
-    truncated_fraction: float
-
-    @property
-    def n_survivors(self) -> int:
-        return self.H.size
-
-
-def yaglom_samples(model, x: float, t: float, n_replicas: int, rng, *,
-                   rho=None) -> YaglomDataset:
-    """Overshoot datasets conditioned on reaching level t in the killed tree."""
-    if rho is None:
-        rho = model.analytics().regime_tilt()
-    forest = simulate_killed_forest(model, x, [t], n_replicas, rng,
-                                    collect_overshoots=True)
-    h_all = forest.H[0]
-    ids, vals = forest.overshoots[float(t)]
-    surv = np.flatnonzero(h_all > 0)
-    p_surv = binomial_estimate(surv.size, n_replicas)
-    if surv.size == 0:
-        raise RuntimeError(
-            f"no replica reached level {t}: P(H(t)>0) <= {3.0 / n_replicas:.2e} "
-            f"with 95% confidence at this budget; lower t or switch to the "
-            f"spine estimator")
-    order = np.argsort(ids, kind="stable")
-    ids_s, vals_s = ids[order], vals[order]
-    bounds = np.searchsorted(ids_s, surv)
-    bounds = np.append(bounds, ids_s.size)
-    overshoots = [vals_s[bounds[k]:bounds[k + 1]] for k in range(surv.size)]
-    tilted = np.array([float(np.exp(rho * o).sum()) for o in overshoots])
-    mins = np.array([float(o.min()) for o in overshoots])
-    return YaglomDataset(t=float(t), rho=float(rho), H=h_all[surv],
-                         overshoots=overshoots, tilted_mass=tilted,
-                         min_overshoot=mins, p_survival=p_surv,
-                         n_replicas=n_replicas,
-                         truncated_fraction=forest.truncated_fraction)

@@ -1,9 +1,9 @@
 """The spine walk under mass-1 exponential tilts.
 
 Everything here is a plain one-dimensional random walk: first-passage
-ensembles, ladder structure, the renewal function of the barrier problem,
-Tanaka's pathwise construction of the walk conditioned to stay positive, the
-min-record reweighting on top of it, and Doob h-transform stepping.
+ensembles, the renewal function of the barrier problem, Tanaka's pathwise
+construction of the walk conditioned to stay positive, the min-record
+reweighting on top of it, and Doob h-transform stepping.
 
 Conventions (fixed package-wide): the barrier at a is crossed downward when
 S < a strictly and upward when S > a strictly; ascending ladder epochs are
@@ -40,26 +40,6 @@ class StoppingReason(Enum):
     HIT_ABOVE = 1
     HIT_BELOW = 2
     MAX_STEPS = 3
-
-
-@dataclass
-class WalkPath:
-    start: float
-    increments: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        out = np.empty(self.increments.size + 1)
-        out[0] = self.start
-        np.cumsum(self.increments, out=out[1:])
-        out[1:] += self.start
-        return out
-
-
-@dataclass
-class LadderDecomposition:
-    epochs: list            # [(sigma_n, H_n)] strict ascending records
-    descending_epochs: list  # strict ascending records of -S, heights > 0
 
 
 @dataclass
@@ -269,32 +249,6 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
                            lower=lower, upper=upper)
 
 
-def ladder_decompose(path: WalkPath) -> LadderDecomposition:
-    """Strict ascending ladder epochs/heights, and the same for the mirror walk.
-
-    Ascending heights are absolute positions S at the record times; descending
-    heights are positive descent depths start - S, so they match the
-    undershoot magnitudes used by the duality estimator.
-    """
-    pos = path.positions
-    if pos.size < 2:
-        return LadderDecomposition([], [])
-
-    def strict_records(v):
-        out = []
-        best = v[0]
-        for j in range(1, v.size):
-            if v[j] > best:
-                best = v[j]
-                out.append((j, float(v[j])))
-        return out
-
-    mirror = path.start - (pos - path.start)
-    descending = [(j, float(h - path.start)) for j, h in strict_records(mirror)]
-    return LadderDecomposition(epochs=strict_records(pos),
-                               descending_epochs=descending)
-
-
 # ---------------------------------------------------------------------------
 # renewal function
 
@@ -303,7 +257,6 @@ def ladder_decompose(path: WalkPath) -> LadderDecomposition:
 class RenewalEstimate:
     x_grid: np.ndarray
     r_values: list           # EstimateWithCI per grid point
-    method: str              # "VisitCount" | "LadderDuality" | "ClosedForm"
     truncated_fraction: float = 0.0
     certification_bound: float = 0.0
     span: float | None = None
@@ -334,7 +287,7 @@ def _check_grid(x_grid) -> np.ndarray:
     return grid
 
 
-def _finish_renewal(grid, sums, sumsq, n, method, truncated, cert_bound, span):
+def _finish_renewal(grid, sums, sumsq, n, truncated, cert_bound, span):
     ests = []
     for k in range(grid.size):
         mean = sums[k] / n
@@ -342,8 +295,7 @@ def _finish_renewal(grid, sums, sumsq, n, method, truncated, cert_bound, span):
         ests.append(EstimateWithCI(
             value=float(mean), stderr=float(math.sqrt(var / n)), n_effective=float(n),
             truncated_fraction=truncated))
-    return RenewalEstimate(x_grid=grid, r_values=ests, method=method,
-                           truncated_fraction=truncated,
+    return RenewalEstimate(x_grid=grid, r_values=ests, truncated_fraction=truncated,
                            certification_bound=cert_bound, span=span)
 
 
@@ -405,8 +357,8 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
         sums += counts.sum(axis=0)
         sumsq += (counts * counts).sum(axis=0)
         n_trunc += rows.size
-    return _finish_renewal(grid, sums, sumsq, n_replicas, "VisitCount",
-                           n_trunc / n_replicas, 0.0, walk.span)
+    return _finish_renewal(grid, sums, sumsq, n_replicas, n_trunc / n_replicas,
+                           0.0, walk.span)
 
 
 def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
@@ -421,8 +373,7 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
         values = np.floor(grid / walk.span + 1e-9) + 1.0
         ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf)
                 for v in values]
-        return RenewalEstimate(x_grid=grid, r_values=ests, method="LadderDuality",
-                               span=walk.span)
+        return RenewalEstimate(x_grid=grid, r_values=ests, span=walk.span)
     # drift-up walks terminate their ladder sequence with a Cramer certificate
     cutoff = None
     cert_per_event = 0.0
@@ -462,8 +413,8 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
         sums += counts.sum(axis=0)
         sumsq += (counts * counts).sum(axis=0)
         n_trunc += int(trunc.sum())
-    return _finish_renewal(grid, sums, sumsq, n_replicas, "LadderDuality",
-                           n_trunc / n_replicas, cert_bound / n_replicas, walk.span)
+    return _finish_renewal(grid, sums, sumsq, n_replicas, n_trunc / n_replicas,
+                           cert_bound / n_replicas, walk.span)
 
 
 def closed_form_renewal(walk: TiltedWalk, x_grid) -> RenewalEstimate:
@@ -493,8 +444,7 @@ def closed_form_renewal(walk: TiltedWalk, x_grid) -> RenewalEstimate:
         raise ValueError("closed-form renewal needs drift >= 0")
     ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf)
             for v in values]
-    return RenewalEstimate(x_grid=grid, r_values=ests, method="ClosedForm",
-                           span=s)
+    return RenewalEstimate(x_grid=grid, r_values=ests, span=s)
 
 
 def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
@@ -690,10 +640,6 @@ class MinRecordEnsemble:
     flagged: np.ndarray      # truncated, or sigma_tilde inside the guard window
     e_h1: float
     e_h1_stderr: float
-
-    @property
-    def flagged_fraction(self) -> float:
-        return float(self.flagged.mean())
 
     def valid(self) -> np.ndarray:
         return ~self.flagged

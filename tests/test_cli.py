@@ -75,12 +75,26 @@ class TestSimulate:
         assert set(s["p_reach"]) == {"2", "4"}
 
 
+# binary offspring with N(0,1) steps: drift up, outside both regimes
+SUPERCRITICAL = json.dumps({"kind": "iid",
+                            "nu": {"type": "deterministic", "value": 2},
+                            "x": {"type": "gaussian", "mu": 0.0, "sigma": 1.0}})
+
+
 class TestExitCodes:
     def test_bad_model_is_config_error(self, tmp_path, capsys):
-        code = run_cli("simulate", "--model", "no-such-model", "--replicas",
-                       10, "--seed", 1, "--out", tmp_path / "x")
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        cases = [("--model", "no-such-model"),
+                 ("--levels", "1,2,3,4,5,6,7,8,9"),
+                 ("--x", 3, "--levels", 2),
+                 ("--x", -1),
+                 ("--model", SUPERCRITICAL)]
+        for k, extra in enumerate(cases):
+            out = tmp_path / f"x{k}"
+            code = run_cli("simulate", "--model", "critical-lattice",
+                           "--replicas", 10, "--seed", 1, *extra, "--out", out)
+            assert code == 2, extra
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists(), extra
 
     def test_cap_dominated_run_exits_3(self, tmp_path):
         code = run_cli("simulate", "--model", "critical-lattice", "--replicas",
@@ -105,9 +119,11 @@ class TestExitCodes:
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
-        # scipy serves only stats.yaglom_diagnostic, which no command calls
+        # scipy is a test-only dependency: no kbrw module may load it
         src = Path(cli.__file__).resolve().parents[1]
-        code = ("import sys, kbrw.cli; "
+        code = ("import sys, pkgutil, importlib, kbrw; "
+                "[importlib.import_module('kbrw.' + m.name) "
+                "for m in pkgutil.iter_modules(kbrw.__path__)]; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(src)})
@@ -244,6 +260,12 @@ class TestOracleCmd:
         s = json.loads((tmp_path / "orc" / "summary.json").read_text())
         assert s["expected_crossers_total"] == pytest.approx(
             res.expected_crossers_total)
+
+    def test_negative_depth_is_config_error(self, tmp_path, capsys):
+        code = run_cli("oracle", "--model", "two-point", "--depth", -1,
+                       "--out", tmp_path / "orc")
+        assert code == 2
+        assert "depth" in capsys.readouterr().err
 
 
 class TestEstimate:

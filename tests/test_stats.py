@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kbrw import models, stats, trees
+from kbrw import models, stats
 from kbrw.estimates import binomial_estimate
 from kbrw.seeds import rng_for_block
 
@@ -107,43 +107,6 @@ class TestConstants:
             stats.estimate_constants(m, "subcritical", 100, rng_for_block(502, 2))
 
 
-class TestYaglom:
-    def test_identical_law_synthetic(self):
-        rng = rng_for_block(503, 0)
-
-        def fake(t, p):
-            n = 4000
-            return trees.YaglomDataset(
-                t=t, rho=1.0, H=np.ones(n, np.int64),
-                overshoots=[np.array([1.0])] * n,
-                tilted_mass=np.exp(rng.standard_normal(n)),
-                min_overshoot=rng.random(n),
-                p_survival=binomial_estimate(int(round(p * 10 ** 6)), 10 ** 6),
-                n_replicas=10 ** 6, truncated_fraction=0.0)
-
-        rep = stats.yaglom_diagnostic(fake(2.0, 1e-3 * math.exp(-2.0)),
-                                      fake(4.0, 1e-3 * math.exp(-4.0)),
-                                      "subcritical")
-        assert rep.ks_min_overshoot[1] > 0.01
-        assert rep.ks_log_mass[1] > 0.01
-        assert abs(rep.ratio.value - 1.0) < 4.0 * rep.ratio.stderr
-
-    def test_lattice_levels_compare(self):
-        m = models.critical_lattice_binary()
-        d2 = trees.yaglom_samples(m, 0.0, 2.0, 150_000, rng_for_block(503, 1))
-        d4 = trees.yaglom_samples(m, 0.0, 4.0, 150_000, rng_for_block(503, 2))
-        rep = stats.yaglom_diagnostic(d2, d4, "critical")
-        assert rep.ks_min_overshoot[0] == 0.0      # overshoot is exactly 1
-        assert rep.ks_log_mass[1] > 0.01
-        assert 0.5 < rep.ratio.value < 2.0
-
-    def test_orders_levels(self):
-        m = models.critical_lattice_binary()
-        d = trees.yaglom_samples(m, 0.0, 1.0, 20_000, rng_for_block(503, 3))
-        with pytest.raises(ValueError, match="lower level"):
-            stats.yaglom_diagnostic(d, d, "critical")
-
-
 class TestConvolution:
     ONE = staticmethod(lambda rng, n: np.ones(n))
     TWO = staticmethod(lambda rng, n: np.full(n, 2))
@@ -187,30 +150,3 @@ class TestConvolution:
             stats.convolution_tail_check(bad, self.ONE, 2.0, 1.0, 100,
                                          [5.0], rng_for_block(504, 4))
 
-
-class TestCouplingProbe:
-    def test_real_forest_rate_is_zero(self):
-        m = models.critical_lattice_binary()
-        fwd = trees.simulate_killed_forest(m, 0.0, [], 100_000,
-                                           rng_for_block(505, 0))
-        probe = stats.coupling_probe(fwd.Z, fwd.leaves, m.mean_offspring,
-                                     [8.0, 32.0, 128.0])
-        assert all(e.value < 0.05 for e in probe.values())
-
-    def test_shuffled_records_light_up(self):
-        # pairing Z with another tree's leaf count breaks the coupling;
-        # binary offspring makes leaves = Z + 1 exactly, so the paired rate
-        # is identically zero while the shuffled one is ~0.11 at n = 3
-        m = models.critical_lattice_binary()
-        fwd = trees.simulate_killed_forest(m, 0.0, [], 50_000,
-                                           rng_for_block(505, 1))
-        paired = stats.coupling_probe(fwd.Z, fwd.leaves, m.mean_offspring, [3.0])
-        assert paired[3.0].value == 0.0
-        rng = rng_for_block(505, 2)
-        shuffled = fwd.leaves[rng.permutation(fwd.leaves.size)]
-        probe = stats.coupling_probe(fwd.Z, shuffled, m.mean_offspring, [3.0])
-        assert probe[3.0].value > 0.01
-
-    def test_rejects_unpaired_arrays(self):
-        with pytest.raises(ValueError, match="paired"):
-            stats.coupling_probe(np.arange(5), np.arange(6), 2.0, [4.0])

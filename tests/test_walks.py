@@ -152,32 +152,6 @@ class TestPassage:
             walks.passage_ensemble(ssrw, 5.0, 4, rng, max_steps=0)
 
 
-class TestLadders:
-    def test_ascending_example(self):
-        path = walks.WalkPath(0.0, np.array([1.0, -0.5, 1.5]))
-        dec = walks.ladder_decompose(path)
-        assert dec.epochs == [(1, 1.0), (3, 2.0)]
-        assert dec.descending_epochs == []
-
-    def test_descending_heights_are_depths(self):
-        path = walks.WalkPath(0.0, np.array([-1.0, 0.5, -1.5]))
-        dec = walks.ladder_decompose(path)
-        assert dec.epochs == []
-        assert dec.descending_epochs == [(1, 1.0), (3, 2.0)]
-
-    def test_start_offset_does_not_shift_depths(self):
-        path = walks.WalkPath(5.0, np.array([-1.0, -1.0]))
-        dec = walks.ladder_decompose(path)
-        assert dec.descending_epochs == [(1, 1.0), (2, 2.0)]
-
-    def test_records_strictly_increase(self, ssrw):
-        rng = np.random.default_rng(33)
-        path = walks.WalkPath(0.0, ssrw.sample(rng, 400))
-        dec = walks.ladder_decompose(path)
-        heights = [h for _, h in dec.epochs]
-        assert all(b > a for a, b in zip(heights, heights[1:]))
-
-
 class TestRenewal:
     GRID = np.arange(0.0, 6.5, 1.0)
 
