@@ -171,7 +171,10 @@ def _model_doc(model) -> dict:
 
 
 def _parse_seed(text: str) -> int:
-    seed = int(text, 0)
+    try:
+        seed = int(text, 0)
+    except ValueError as exc:
+        raise ConfigError(f"seed {text!r}: {exc}") from exc
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must fit in 64 unsigned bits")
     return seed
@@ -204,15 +207,16 @@ def _sim_block(task):
     (model_json, x, levels, count, seed, block, max_particles, max_gens) = task
     model = models.model_from_json(model_json)
     caps = trees.SimCaps(max_particles=max_particles, max_generations=max_gens)
-    f = trees.simulate_killed_forest(model, x, list(levels), count,
-                                     rng_for_block(seed, block), caps)
-    return (block, f.Z, f.leaves, f.Y, f.truncated, f.generations,
-            f.max_position, f.H)
+    return trees.simulate_killed_forest(model, x, list(levels), count,
+                                        rng_for_block(seed, block), caps)
 
 
 def cmd_simulate(args) -> int:
     model = _load_model(args.model)
-    levels = sorted(float(v) for v in args.levels.split(",")) if args.levels else []
+    try:
+        levels = sorted(float(v) for v in args.levels.split(",")) if args.levels else []
+    except ValueError as exc:
+        raise ConfigError(f"levels {args.levels!r}: {exc}") from exc
     if len(set(levels)) != len(levels):
         raise ConfigError("duplicate levels")
     seed = _parse_seed(args.seed)
@@ -242,17 +246,12 @@ def cmd_simulate(args) -> int:
             parts = [_sim_block(t) for t in tasks]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    parts.sort(key=lambda p: p[0])
     run = Run(config)
 
-    Z = np.concatenate([p[1] for p in parts])
-    leaves = np.concatenate([p[2] for p in parts])
-    Y = np.concatenate([p[3] for p in parts])
-    trunc = np.concatenate([p[4] for p in parts])
-    gens = np.concatenate([p[5] for p in parts])
-    maxpos = np.concatenate([p[6] for p in parts])
-    H = np.concatenate([p[7] for p in parts], axis=1) if levels else \
-        np.zeros((0, n), np.int64)
+    Z, leaves, Y, trunc, gens, maxpos = (
+        np.concatenate([getattr(f, k) for f in parts])
+        for k in ("Z", "leaves", "Y", "truncated", "generations", "max_position"))
+    H = np.concatenate([f.H for f in parts], axis=1)
 
     header = ["replica", "Z", "leaves", "Y", "truncated", "generations",
               "max_position"] + [f"H_{_fmt_level(t)}" for t in levels]
@@ -431,7 +430,6 @@ def cmd_spine(args) -> int:
              "renewal_replicas": args.renewal_replicas}
     config = ExperimentConfig("spine", _model_doc(model), flags, seed,
                               Path(args.out))
-    run = Run(config)
 
     renewal = None
     try:
@@ -448,6 +446,7 @@ def cmd_spine(args) -> int:
                                              band_eps=args.band_eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    run = Run(config)
 
     scale = stats.survival_scale(args.t, est.extra["rho"], an.regime)
     summary = {

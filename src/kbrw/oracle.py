@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import (
+    FiniteStep,
     IidModel,
     PatternModel,
     lattice_span,
 )
+from .walks import cramer_gamma
 
 
 class KahanSum:
@@ -222,8 +224,6 @@ class EnumerationResult:
     value: float
     n_terms: int
     prob_mass: float
-    error_bound: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 def enumerate_tree_expectation(model, x: float, depth: int, functional,
@@ -347,9 +347,7 @@ class WalkOracle:
     p_hit_lower: float
     p_survive: float            # mass absorbed at the upper cutoff (drift-up runs)
     e_rho_lower: float          # E[e^{-rho S_tau}; hit lower] (nan if rho not given)
-    e_rho_upper: float
     undershoot: dict            # position -> probability, at the lower barrier
-    overshoot: dict             # position -> probability, at the upper barrier
     residual_mass: float
     error_bound: float
     n_steps: int
@@ -386,9 +384,7 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     p_lower = KahanSum()
     p_upper = KahanSum()
     e_lower = KahanSum()
-    e_upper = KahanSum()
     under: dict[float, float] = {}
-    over: dict[float, float] = {}
     n = 0
     limit = horizon if horizon is not None else max_steps
     while cur and n < limit:
@@ -407,10 +403,6 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
                     continue
                 if up is not None and kk > up:
                     p_upper.add(m)
-                    posn = kk * span
-                    over[posn] = over.get(posn, 0.0) + m
-                    if rho is not None:
-                        e_upper.add(m * math.exp(-rho * posn))
                     continue
                 nxt[kk] = nxt.get(kk, 0.0) + m
         cur = nxt
@@ -426,26 +418,14 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     drift = float((vals * probs).sum())
     err = 0.0
     if up is not None and lo is not None and drift > 0:
-        f = lambda g: sum(p * math.exp(-g * (s * span)) for s, p in steps) - 1.0
-        hi = 1.0
-        while f(hi) < 0 and hi < 1e4:
-            hi *= 2.0
-        g_lo, g_hi = 1e-12, hi
-        for _ in range(200):
-            mid = 0.5 * (g_lo + g_hi)
-            if f(mid) < 0:
-                g_lo = mid
-            else:
-                g_hi = mid
-        gamma = 0.5 * (g_lo + g_hi)
+        gamma = cramer_gamma(FiniteStep(vals, probs))
         err = float(p_upper) * math.exp(-gamma * ((up - lo) * span + span))
 
     return WalkOracle(
         p_hit_upper=float(p_upper), p_hit_lower=float(p_lower),
         p_survive=float(p_upper) if (up is not None and lo is not None and drift > 0) else 0.0,
         e_rho_lower=float(e_lower) if rho is not None else math.nan,
-        e_rho_upper=float(e_upper) if rho is not None else math.nan,
-        undershoot=under, overshoot=over,
+        undershoot=under,
         residual_mass=residual, error_bound=err, n_steps=n)
 
 

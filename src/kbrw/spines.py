@@ -19,7 +19,8 @@ from . import trees
 from .estimates import EstimateWithCI, from_samples
 from .models import (PatternModel, _inverse_cdf, _take_runs, log_laplace,
                      size_biased_pmf)
-from .walks import RenewalEstimate, make_tilted_walk, passage_ensemble
+from .walks import (RenewalEstimate, h_transform_pick, make_tilted_walk,
+                    passage_ensemble)
 
 MAX_SPINE_STEPS = 10 ** 6   # a spine still below t after this many is an error
 
@@ -274,8 +275,7 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         # shift the band floor to the killing barrier so the forest engine
         # abandons strip escapees for us; leaf counts certify what it cost
         forest = trees.simulate_killed_forest(model, roots_pos - L, [t - L],
-                                              roots_pos.size, rng,
-                                              collect_overshoots=True)
+                                              roots_pos.size, rng)
         ids, vals = forest.overshoots[float(t - L)]
         if ids.size:
             v = t + vals
@@ -309,15 +309,7 @@ def _lattice_spine_step(rep, R, y, idx, rng):
     weighted by R at the landing site.  Pattern siblings leave in group
     order, which is the order the off-spine forest takes its roots in.
     """
-    keys = np.round(y, 9)
-    pick = np.empty(y.size, np.int64)
-    for y0 in np.unique(keys):
-        rows = np.flatnonzero(keys == y0)
-        wts = rep.choice_probs * R(y0 + rep.choice_z)
-        tot = wts.sum()
-        if tot <= 0.0:
-            raise ValueError(f"conditioned spine is stuck at y = {y0}")
-        pick[rows] = _inverse_cdf(np.cumsum(wts) / tot, rng.random(rows.size))
+    keys, pick = h_transform_pick(R, y, rep.choice_z, rep.choice_probs, rng)
     znew = keys + rep.choice_z[pick]
     if rep.sib_counts is None:
         return (znew, *_iid_litter(rep, y, idx, rng))

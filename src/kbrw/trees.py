@@ -3,7 +3,7 @@
 The forest engine runs many replica trees at once on flat numpy arrays: one
 frontier of (position, tree id, probe bitmask) rows, expanded a generation at
 a time with repeat/bincount bookkeeping.  Trees are never materialized beyond
-the frontier except on explicit request for the exploration replay.
+the frontier.
 
 Conventions: a child born strictly below 0 is killed on the spot and counted
 as a leaf of the barrier line; a child at exactly 0 survives.  Crossing a
@@ -32,17 +32,6 @@ class SimCaps:
 
 
 @dataclass
-class TreeRecord:
-    total_progeny_Z: int
-    leaf_count: int
-    exploration_Y_Z: int
-    truncated: bool
-    # (parent index, child count) per alive particle in birth order;
-    # index 0 is the root, parent -1
-    exploration: np.ndarray
-
-
-@dataclass
 class ForestResult:
     probe_levels: np.ndarray
     Z: np.ndarray
@@ -52,7 +41,7 @@ class ForestResult:
     max_position: np.ndarray
     truncated: np.ndarray
     generations: np.ndarray
-    overshoots: dict         # level -> (tree ids, overshoot values), if collected
+    overshoots: dict         # level -> (tree ids, overshoot values)
 
     @property
     def n_replicas(self) -> int:
@@ -64,8 +53,7 @@ class ForestResult:
 
 
 def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
-                           caps: SimCaps = SimCaps(), *,
-                           collect_overshoots: bool = False) -> ForestResult:
+                           caps: SimCaps = SimCaps()) -> ForestResult:
     """n_replicas independent killed trees from x, reduced to counters.
 
     x is a single start height or one per replica.  Exceeding a cap marks the
@@ -140,90 +128,21 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
                 nc = (cpos > levels[k]) & ((cmask & bit) == 0)
                 if nc.any():
                     H[k] += np.bincount(ctree[nc], minlength=n_replicas)
-                    if collect_overshoots:
-                        over_ids[k].append(ctree[nc].copy())
-                        over_vals[k].append(cpos[nc] - levels[k])
+                    over_ids[k].append(ctree[nc].copy())
+                    over_vals[k].append(cpos[nc] - levels[k])
                     cmask[nc] |= bit
         cont = cpos <= top
         fpos, ftree, fmask = cpos[cont], ctree[cont], cmask[cont]
     truncated[ftree] = True
 
     overshoots = {}
-    if collect_overshoots:
-        for k in range(nl):
-            ids = np.concatenate(over_ids[k]) if over_ids[k] else np.empty(0, np.int64)
-            vals = np.concatenate(over_vals[k]) if over_vals[k] else np.empty(0)
-            overshoots[float(levels[k])] = (ids, vals)
+    for k in range(nl):
+        ids = np.concatenate(over_ids[k]) if over_ids[k] else np.empty(0, np.int64)
+        vals = np.concatenate(over_vals[k]) if over_vals[k] else np.empty(0)
+        overshoots[float(levels[k])] = (ids, vals)
     return ForestResult(probe_levels=levels, Z=Z, leaves=leaves, Y=Y, H=H,
                         max_position=max_pos, truncated=truncated,
                         generations=gen_last, overshoots=overshoots)
-
-
-def simulate_killed_tree(model, x: float, rng,
-                         caps: SimCaps = SimCaps()) -> TreeRecord:
-    """One probe-free killed tree with the (parent, nu) skeleton of its alive
-    particles kept for the exploration replay."""
-    if x < 0:
-        raise ValueError("root below the barrier")
-    parents = [-1]
-    nus = [0]
-    frontier = [0]
-    fpos = np.array([float(x)])
-    leaf_count = 0
-    truncated = False
-    g = 0
-    while fpos.size and g < caps.max_generations:
-        g += 1
-        nu, parent, disp = model.spawn(rng, fpos.size)
-        if len(parents) + parent.size > caps.max_particles:
-            truncated = True
-            break
-        for i, count in enumerate(nu):
-            nus[frontier[i]] = int(count)
-        cpos = fpos[parent] + disp
-        dead = cpos < 0.0
-        leaf_count += int(dead.sum())
-        alive = np.flatnonzero(~dead)
-        base = len(parents)
-        for j in alive:
-            parents.append(frontier[parent[j]])
-            nus.append(0)
-        frontier = list(range(base, base + alive.size))
-        fpos = cpos[alive]
-    truncated = truncated or fpos.size > 0
-    skel = np.column_stack([np.asarray(parents, np.int64),
-                            np.asarray(nus, np.int64)])
-    n_alive = skel.shape[0]
-    expanded = n_alive - fpos.size      # frontier at exit was never expanded
-    y = 1 + int(skel[:, 1].sum()) - expanded
-    return TreeRecord(total_progeny_Z=n_alive, leaf_count=leaf_count,
-                      exploration_Y_Z=y, truncated=truncated, exploration=skel)
-
-
-def exploration_check(record: TreeRecord):
-    """Replay the exploration depth-first and compare Y_Z with the leaf count.
-
-    Y_k = 1 + sum_{i<=k} (nu(U_i) - 1) over explored particles in depth-first
-    order; on a complete killed tree the terminal value is exactly #L[0].
-    Returns True/False, or None (indeterminate) on a truncated record.
-    """
-    if record.truncated:
-        return None
-    skel = record.exploration
-    n = skel.shape[0]
-    children = [[] for _ in range(n)]
-    for i in range(1, n):
-        children[int(skel[i, 0])].append(i)
-    y = 1
-    stack = [0]
-    visited = 0
-    while stack:
-        u = stack.pop()
-        visited += 1
-        y += int(skel[u, 1]) - 1
-        stack.extend(reversed(children[u]))
-    assert visited == n, "exploration skeleton is not a tree"
-    return y == record.leaf_count
 
 
 # ---------------------------------------------------------------------------

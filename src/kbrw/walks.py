@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate
-from .models import lattice_span, log_laplace
+from .models import _inverse_cdf, lattice_span, log_laplace
 
 MASS_TOL = 1e-8          # |psi(rho)| must be below this for a probability tilt
 DEFAULT_MAX_STEPS = 10 ** 7
@@ -46,13 +46,11 @@ class StoppingReason(Enum):
 class TiltedWalk:
     """The walk whose step law is the e^{rho z}-tilt of the offspring intensity."""
 
-    model: object
     rho: float
     step: object             # displacement law with sample/support/probs
     drift: float             # psi'(rho)
     variance: float          # psi''(rho)
     span: float | None       # lattice span of the step support, None if continuous
-    name: str = ""
     _h1_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -74,9 +72,8 @@ def make_tilted_walk(model, rho) -> TiltedWalk:
         value = table[rho]
         if value is None:
             raise ValueError(f"tilt {rho!r} undefined in the {an.regime.value} regime")
-        name = rho
     else:
-        value, name = float(rho), ""
+        value = float(rho)
     psi, dpsi, d2psi = log_laplace(model, value)
     if abs(psi) > MASS_TOL:
         raise ValueError(f"psi({value}) = {psi:.3e}: not a probability tilt")
@@ -84,8 +81,8 @@ def make_tilted_walk(model, rho) -> TiltedWalk:
     step = model.tilted_step(value)
     sup = step.support()
     span = lattice_span(sup) if sup is not None else None
-    return TiltedWalk(model=model, rho=value, step=step, drift=dpsi,
-                      variance=d2psi, span=span, name=name)
+    return TiltedWalk(rho=value, step=step, drift=dpsi, variance=d2psi,
+                      span=span)
 
 
 def cramer_gamma(step) -> float:
@@ -687,15 +684,37 @@ def _h_function(renewal, boundary: str, span: float | None):
     raise ValueError(f"unknown boundary {boundary!r}")
 
 
+def h_transform_pick(h, y, z, probs, rng):
+    """One h-transformed lattice move from every position in ``y``.
+
+    Row i of the (displacement ``z``, probability ``probs``) table is drawn
+    with weight probs[i] * h(y + z[i]).  Positions are grouped after
+    rounding to 9 decimals, and each group in increasing order draws its
+    uniforms and picks its rows by ``models._inverse_cdf``.  Returns the
+    rounded positions and the row picked for each.
+    """
+    keys = np.round(y, 9)
+    pick = np.empty(y.size, np.int64)
+    for y0 in np.unique(keys):
+        rows = np.flatnonzero(keys == y0)
+        wts = probs * h(y0 + z)
+        tot = wts.sum()
+        if tot <= 0.0:
+            raise ValueError(f"h vanishes on every move from y = {y0}")
+        pick[rows] = _inverse_cdf(np.cumsum(wts) / tot, rng.random(rows.size))
+    return keys, pick
+
+
 def conditioned_chain(walk: TiltedWalk, renewal, x0, n_steps: int,
                       n_replicas: int, rng, *,
                       boundary: str = "nonnegative") -> np.ndarray:
     """(n_replicas, n_steps+1) paths of the renewal-h-transformed walk from x0.
 
     ``renewal`` is a RenewalEstimate (its isotonic interpolant is used) or a
-    callable h.  Lattice walks step by the exact reweighted categorical;
-    continuous walks use acceptance-rejection with the table maximum as the
-    envelope, raising if a proposal leaves the covered range.
+    callable h.  Lattice walks step by ``h_transform_pick``, the draw the
+    conditioned spine takes; continuous walks use acceptance-rejection with
+    the table maximum as the envelope, raising if a proposal leaves the
+    covered range.
     """
     h = _h_function(renewal, boundary, walk.span)
     pos = np.broadcast_to(np.asarray(x0, float), (n_replicas,)).copy()
@@ -706,15 +725,8 @@ def conditioned_chain(walk: TiltedWalk, renewal, x0, n_steps: int,
         sup = np.asarray(sup, float)
         probs = np.asarray(walk.step.probs(), float)
         for k in range(1, n_steps + 1):
-            w = probs[None, :] * h(pos[:, None] + sup[None, :])
-            tot = w.sum(axis=1)
-            if np.any(tot <= 0.0):
-                bad = float(pos[np.argmin(tot)])
-                raise ValueError(f"h vanishes on every move from y = {bad}")
-            u = rng.random(n_replicas) * tot
-            idx = (np.cumsum(w, axis=1) < u[:, None]).sum(axis=1)
-            idx = np.minimum(idx, sup.size - 1)
-            pos = pos + sup[idx]
+            keys, pick = h_transform_pick(h, pos, sup, probs, rng)
+            pos = keys + sup[pick]
             out[:, k] = pos
         return out
 

@@ -87,7 +87,9 @@ class TestExitCodes:
                  ("--levels", "1,2,3,4,5,6,7,8,9"),
                  ("--x", 3, "--levels", 2),
                  ("--x", -1),
-                 ("--model", SUPERCRITICAL)]
+                 ("--model", SUPERCRITICAL),
+                 ("--seed", "abc"),
+                 ("--levels", "2,x")]
         for k, extra in enumerate(cases):
             out = tmp_path / f"x{k}"
             code = run_cli("simulate", "--model", "critical-lattice",
@@ -233,17 +235,23 @@ class TestSpine:
     def test_continuous_model_needs_renewal_grid(self, tmp_path, capsys):
         escaping = models.model_to_json(models.IidModel(
             models.FixedOffspring(2), models.TwoPointStep(1.0, -1.0, 0.5)))
-        for model, extra in (("critical-gaussian", []),
-                             ("critical-lattice", ["--replicas", 0]),
-                             ("critical-lattice", ["--renewal-replicas", 0]),
-                             (escaping, ["--renewal-grid", "0:4:1"]),
-                             ("critical-lattice", ["--t=-2"]),
-                             ("critical-lattice", ["--x", 2])):
+        cases = [("critical-gaussian", []),
+                 ("critical-lattice", ["--replicas", 0]),
+                 ("critical-lattice", ["--renewal-replicas", 0]),
+                 (escaping, ["--renewal-grid", "0:4:1"]),
+                 ("critical-lattice", ["--t=-2"]),
+                 ("critical-lattice", ["--x", 2]),
+                 ("critical-lattice", ["--seed", "abc"]),
+                 ("critical-gaussian", ["--renewal-grid", "0:a:1"]),
+                 (SUPERCRITICAL, [])]
+        for k, (model, extra) in enumerate(cases):
+            out = tmp_path / f"sp{k}"
             code = run_cli("spine", "--model", model, "--t", 2,
                            "--replicas", 100, "--seed", 1, *extra,
-                           "--out", tmp_path / "sp")
+                           "--out", out)
             assert code == 2, (model, extra)
             assert "config error" in capsys.readouterr().err
+            assert not out.exists(), (model, extra)
 
 
 class TestOracleCmd:

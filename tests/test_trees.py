@@ -35,8 +35,7 @@ def plain_forest(model_c):
 @pytest.fixture(scope="module")
 def probed_forest(model_c):
     return trees.simulate_killed_forest(model_c, 0.0, [1.0, 2.0, 3.0], 30_000,
-                                        rng_for_block(300, 1),
-                                        collect_overshoots=True)
+                                        rng_for_block(300, 1))
 
 
 class ScriptedRng:
@@ -57,13 +56,10 @@ class ScriptedRng:
 
 
 def scripted_counts(model, x, disps):
-    """(Z, leaves, Y) of one scripted tree from the forest engine and from
-    the materialized tree."""
+    """(Z, leaves, Y) of one scripted tree from the forest engine."""
     f = trees.simulate_killed_forest(model, x, [], 1,
                                      ScriptedRng(disps, model.step.mu))
-    rec = trees.simulate_killed_tree(model, x, ScriptedRng(disps, model.step.mu))
-    return [(int(f.Z[0]), int(f.leaves[0]), int(f.Y[0])),
-            (rec.total_progeny_Z, rec.leaf_count, rec.exploration_Y_Z)]
+    return int(f.Z[0]), int(f.leaves[0]), int(f.Y[0])
 
 
 class TestForestCounts:
@@ -110,12 +106,12 @@ class TestForestCounts:
         assert np.allclose(vals, 1.0)
 
     def test_trace_root_with_two_dead_children(self, gauss):
-        assert scripted_counts(gauss, 0.5, [-0.8, -0.8]) == [(1, 2, 2)] * 2
+        assert scripted_counts(gauss, 0.5, [-0.8, -0.8]) == (1, 2, 2)
 
     def test_trace_one_survivor_then_extinction(self, gauss):
         # gen 1: children at 0.2 and -0.1; gen 2: both of 0.2's children die
         got = scripted_counts(gauss, 0.5, [-0.3, -0.6, -0.5, -0.7])
-        assert got == [(2, 3, 3)] * 2
+        assert got == (2, 3, 3)
 
     def test_rejects_negative_start(self, model_c):
         with pytest.raises(ValueError):
@@ -139,39 +135,6 @@ class TestForestCounts:
         f = trees.simulate_killed_forest(model_c, 3.0, [], 2_000,
                                          rng_for_block(300, 6), caps)
         assert f.truncated_fraction > 0.0
-
-
-class TestExplorationReplay:
-    def test_replay_confirms_simulated_trees(self, gauss):
-        confirmed = 0
-        for s in range(60):
-            rec = trees.simulate_killed_tree(gauss, 1.0, rng_for_block(301, s))
-            verdict = trees.exploration_check(rec)
-            if rec.truncated:
-                assert verdict is None
-            else:
-                assert verdict is True
-                confirmed += 1
-        assert confirmed > 50
-
-    def test_replay_indeterminate_when_truncated(self, gauss):
-        caps = trees.SimCaps(max_particles=4)
-        for s in range(40):
-            rec = trees.simulate_killed_tree(gauss, 2.0, rng_for_block(302, s),
-                                             caps)
-            if rec.truncated:
-                assert trees.exploration_check(rec) is None
-                return
-        pytest.fail("no truncated tree found at max_particles=4")
-
-    def test_replay_detects_mutation(self, gauss):
-        for s in range(40):
-            rec = trees.simulate_killed_tree(gauss, 1.0, rng_for_block(303, s))
-            if not rec.truncated and rec.exploration.shape[0] > 1:
-                rec.exploration[0, 1] += 1
-                assert trees.exploration_check(rec) is False
-                return
-        pytest.fail("no suitable tree found")
 
 
 class TestMartingales:

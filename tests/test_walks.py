@@ -341,6 +341,17 @@ class TestMinRecordSampler:
         assert walks.first_ladder_height_mean(ssrw, rng) is first
 
 
+class ScriptedUniforms:
+    """Hands out a fixed list of uniforms through ``random``."""
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def random(self, size):
+        out, self.us = np.array(self.us[:size]), self.us[size:]
+        return out
+
+
 @pytest.fixture(scope="module")
 def cf_table(ssrw):
     return walks.closed_form_renewal(ssrw, np.arange(0.0, 64.0, 1.0))
@@ -373,6 +384,21 @@ class TestConditionedChains:
             phat = float((ch[:, 3] == v).mean())
             se = math.sqrt(p * (1 - p) / 50_000)
             assert abs(phat - p) <= 4.0 * se + 1e-12
+
+    def test_shared_draw_ties_go_to_the_next_row(self):
+        # weights 0.5 * (1, 3) give the cumulative table (0.25, 1); like
+        # models._inverse_cdf, a uniform on a boundary picks the next row
+        # and the largest uniform below 1 stays in the table
+        z = np.array([-1.0, 1.0])
+        h = lambda v: np.where(np.asarray(v) > 2.0, 3.0, 1.0)
+        us = [0.25, 0.25 - 2.0 ** -54, 1.0 - 2.0 ** -53]
+        keys, pick = walks.h_transform_pick(h, np.full(3, 2.0), z,
+                                            np.array([0.5, 0.5]),
+                                            ScriptedUniforms(us))
+        assert pick.tolist() == [1, 0, 1]
+        assert keys.tolist() == [2.0] * 3
+        assert pick.tolist() == models._inverse_cdf(np.array([0.25, 1.0]),
+                                                    np.array(us)).tolist()
 
     def test_vanishing_h_raises(self, ssrw):
         rng = np.random.default_rng(614)
