@@ -181,14 +181,17 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Either 'a:b:step' (inclusive endpoints) or 'v1,v2,...'."""
+    """Either 'a:b:step' (inclusive endpoints) or 'v1,v2,...'; finite values."""
     try:
+        vals = [float(v) for v in spec.split(":" if ":" in spec else ",")]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
         if ":" in spec:
-            a, b, step = (float(v) for v in spec.split(":"))
+            a, b, step = vals
             if step <= 0 or b < a:
                 raise ValueError("need a <= b and step > 0")
             return np.arange(a, b + 1e-9 * max(step, 1.0), step)
-        return np.array([float(v) for v in spec.split(",")])
+        return np.array(vals)
     except ValueError as exc:
         raise ConfigError(f"grid {spec!r}: {exc}") from exc
 
@@ -223,6 +226,7 @@ def cmd_simulate(args) -> int:
     n = args.replicas
     if n < 1:
         raise ConfigError("replicas must be positive")
+    curve_grid = _parse_grid(args.survival_curve) if args.survival_curve else None
 
     flags = {"x": args.x, "levels": levels, "replicas": n,
              "max_particles": args.max_particles,
@@ -283,12 +287,11 @@ def cmd_simulate(args) -> int:
         reach[_fmt_level(t)] = {"value": e.value, "stderr": e.stderr}
     summary["p_reach"] = reach
 
-    if args.survival_curve:
-        grid = _parse_grid(args.survival_curve)
+    if curve_grid is not None:
         for name, counts in (("Z", Z), ("leaves", leaves)):
-            tab = stats.survival_curve(counts, grid, truncated=trunc)
+            tab = stats.survival_curve(counts, curve_grid, truncated=trunc)
             summary[f"survival_{name}"] = {
-                "grid": [float(g) for g in grid],
+                "grid": [float(g) for g in curve_grid],
                 "p": [e.value for e in tab.estimates],
                 "stderr": [e.stderr for e in tab.estimates],
                 "exceedances": [int(k) for k in tab.exceedances],
@@ -344,6 +347,10 @@ def cmd_walk(args) -> int:
     seed = _parse_seed(args.seed)
     if args.replicas < 1 or args.max_steps < 1:
         raise ConfigError("replicas and max-steps must be positive")
+    if not 0 < args.probe_t < np.inf:
+        raise ConfigError("probe-t must be positive and finite")
+    if args.cr_reference is not None and not 0 < args.cr_reference < np.inf:
+        raise ConfigError("cr-reference must be positive and finite")
     try:
         tw = walks.make_tilted_walk(model, args.tilt)
         # the grid and the tilt's drift are checked before the first draw
@@ -370,14 +377,12 @@ def cmd_walk(args) -> int:
     except ValueError:
         closed = None
 
-    vv, lv = visit.values(), ladder.values()
-    vs = np.array([e.stderr for e in visit.r_values])
-    ls = np.array([e.stderr for e in ladder.r_values])
+    vv, vs, lv, ls = visit.values, visit.stderr, ladder.values, ladder.stderr
     z = pooled_z(vv, vs, lv, ls)
     rel_err = None
     cf = [None] * grid.size
     if closed is not None:
-        cf = closed.values()
+        cf = closed.values
         rel_err = float(max(np.max(np.abs(vv - cf) / cf),
                             np.max(np.abs(lv - cf) / cf)))
 
@@ -400,7 +405,7 @@ def cmd_walk(args) -> int:
         "C_R": _estimate_doc(cr),
         "cr_reference": args.cr_reference,
         "cr_rel_err": (abs(cr.value - args.cr_reference) / args.cr_reference
-                       if args.cr_reference else None),
+                       if args.cr_reference is not None else None),
         "renewal_truncated_fraction": max(visit.truncated_fraction,
                                           ladder.truncated_fraction),
     }
@@ -423,6 +428,8 @@ def cmd_spine(args) -> int:
         raise ConfigError("level must lie above the start")
     if args.replicas < 1 or args.renewal_replicas < 1:
         raise ConfigError("replicas and renewal-replicas must be positive")
+    if not 0.0 <= args.band_eps < 1.0:
+        raise ConfigError("band-eps must lie in [0, 1)")
 
     flags = {"x": args.x, "t": args.t, "replicas": args.replicas,
              "band_eps": args.band_eps, "naive_replicas": args.naive_replicas,
@@ -434,7 +441,7 @@ def cmd_spine(args) -> int:
     renewal = None
     try:
         if args.renewal_grid:
-            tw = walks.make_tilted_walk(model, an.regime_tilt())
+            tw = walks.make_tilted_walk(model)
             renewal = walks.renewal_function(tw, _parse_grid(args.renewal_grid),
                                              args.renewal_replicas,
                                              rng_for_block(seed, 1),

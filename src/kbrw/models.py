@@ -262,13 +262,13 @@ class ModelAnalytics:
 
     regime: Regime
     mean_offspring: float
-    rho_star: float | None
-    psi_rho_star: float | None
-    dpsi_rho_star: float | None
-    d2psi_rho_star: float | None
-    rho_minus: float | None
-    rho_plus: float | None
-    lattice_span: float | None
+    rho_star: float | None = None
+    psi_rho_star: float | None = None
+    dpsi_rho_star: float | None = None
+    d2psi_rho_star: float | None = None
+    rho_minus: float | None = None
+    rho_plus: float | None = None
+    lattice_span: float | None = None
     note: str = ""
 
     def regime_tilt(self) -> float:
@@ -591,10 +591,15 @@ def lattice_span(values, tol: float = 1e-9) -> float | None:
     return s
 
 
+def drift_sign(d: float) -> int:
+    """-1, 0 or 1: the sign of a drift, with |d| <= REGIME_TOL read as zero."""
+    return 0 if abs(d) <= REGIME_TOL else (1 if d > 0 else -1)
+
+
 def classify_regime(model) -> ModelAnalytics:
     """Regime classification with the full analytics bundle.
 
-    Critical:    psi'(rho_star) ~ 0 (within REGIME_TOL).
+    Critical:    psi'(rho_star) ~ 0 (drift_sign 0).
     Subcritical: psi'(rho_star) < 0; rho_minus/rho_plus are solved.
     Everything else (escape upward) is out of scope for the killed-walk
     asymptotics and is labeled, not silently accepted.
@@ -605,27 +610,22 @@ def classify_regime(model) -> ModelAnalytics:
     try:
         rho_star = find_rho_star(model)
     except ValueError as e:
-        return ModelAnalytics(
-            regime=Regime.OUT_OF_SCOPE, mean_offspring=m, rho_star=None,
-            psi_rho_star=None, dpsi_rho_star=None, d2psi_rho_star=None,
-            rho_minus=None, rho_plus=None, lattice_span=span, note=str(e))
+        return ModelAnalytics(regime=Regime.OUT_OF_SCOPE, mean_offspring=m,
+                              lattice_span=span, note=str(e))
     psi_s, dpsi_s, d2psi_s = log_laplace(model, rho_star)
-    if dpsi_s > REGIME_TOL:
+    at_star = dict(mean_offspring=m, rho_star=rho_star, psi_rho_star=psi_s,
+                   dpsi_rho_star=dpsi_s, d2psi_rho_star=d2psi_s,
+                   lattice_span=span)
+    sign = drift_sign(dpsi_s)
+    if sign > 0:
         return ModelAnalytics(
-            regime=Regime.OUT_OF_SCOPE, mean_offspring=m, rho_star=rho_star,
-            psi_rho_star=psi_s, dpsi_rho_star=dpsi_s, d2psi_rho_star=d2psi_s,
-            rho_minus=None, rho_plus=None, lattice_span=span,
+            regime=Regime.OUT_OF_SCOPE, **at_star,
             note="psi'(rho_star) > 0: survives the barrier with positive probability")
-    if abs(dpsi_s) <= REGIME_TOL:
-        return ModelAnalytics(
-            regime=Regime.CRITICAL, mean_offspring=m, rho_star=rho_star,
-            psi_rho_star=psi_s, dpsi_rho_star=dpsi_s, d2psi_rho_star=d2psi_s,
-            rho_minus=None, rho_plus=None, lattice_span=span)
+    if sign == 0:
+        return ModelAnalytics(regime=Regime.CRITICAL, **at_star)
     rho_minus, rho_plus = find_rho_pm(model, rho_star)
-    return ModelAnalytics(
-        regime=Regime.SUBCRITICAL, mean_offspring=m, rho_star=rho_star,
-        psi_rho_star=psi_s, dpsi_rho_star=dpsi_s, d2psi_rho_star=d2psi_s,
-        rho_minus=rho_minus, rho_plus=rho_plus, lattice_span=span)
+    return ModelAnalytics(regime=Regime.SUBCRITICAL, rho_minus=rho_minus,
+                          rho_plus=rho_plus, **at_star)
 
 
 # ---------------------------------------------------------------------------

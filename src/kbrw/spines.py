@@ -17,18 +17,11 @@ import numpy as np
 
 from . import trees
 from .estimates import EstimateWithCI, from_samples
-from .models import (PatternModel, _inverse_cdf, _take_runs, log_laplace,
-                     size_biased_pmf)
+from .models import PatternModel, _inverse_cdf, _take_runs, size_biased_pmf
 from .walks import (RenewalEstimate, h_transform_pick, make_tilted_walk,
                     passage_ensemble)
 
 MAX_SPINE_STEPS = 10 ** 6   # a spine still below t after this many is an error
-
-
-def _regime_rho(model, rho):
-    if rho is not None:
-        return float(rho)
-    return model.analytics().regime_tilt()
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +73,9 @@ class SpineReproduction:
 
 
 def tilted_reproduction(model, rho=None) -> SpineReproduction:
-    rho = _regime_rho(model, rho)
-    psi, _, _ = log_laplace(model, rho)
-    if abs(psi) > 1e-8:
-        raise ValueError("spine decomposition needs a mass-1 tilt")
+    """The spine generation law at a mass-1 tilt; None means the regime's."""
+    tw = make_tilted_walk(model, rho)
+    rho = tw.rho
     if isinstance(model, PatternModel):
         zs, qs, flat, offs, cnts = [], [], [], [], []
         for q, pat in zip(model.atom_probs, model.patterns):
@@ -102,7 +94,7 @@ def tilted_reproduction(model, rho=None) -> SpineReproduction:
                                  sib_flat=np.asarray(flat, float),
                                  sib_offsets=np.asarray(offs, np.int64),
                                  sib_counts=np.asarray(cnts, np.int64))
-    step = model.tilted_step(rho)
+    step = tw.step
     sup = step.support()
     nv, npr = size_biased_pmf(model.nu)
     return SpineReproduction(
@@ -119,10 +111,10 @@ def spine_marginal_check(model, rho=None, oracle_table: dict | None = None) -> f
     so the result should be at numerical zero for any correct model.
     """
     from . import oracle
-    rho = _regime_rho(model, rho)
-    mine = tilted_reproduction(model, rho).signature_table()
+    rep = tilted_reproduction(model, rho)
+    mine = rep.signature_table()
     ref = oracle_table if oracle_table is not None \
-        else oracle.spine_signature_measure(model, rho)
+        else oracle.spine_signature_measure(model, rep.rho)
     keys = set(mine) | set(ref)
     return 0.5 * sum(abs(mine.get(k, 0.0) - ref.get(k, 0.0)) for k in keys)
 
@@ -139,8 +131,8 @@ def many_to_one_estimate(model, x: float, n: int, F, n_replicas: int, rng, *,
     value per row.  The reduction weights each spine path by
     e^{-rho (S_n - x)}; at a mass-1 tilt this is the whole change of measure.
     """
-    rho = _regime_rho(model, rho)
     tw = make_tilted_walk(model, rho)
+    rho = tw.rho
     inc = tw.step.sample(rng, n_replicas * n).reshape(n_replicas, n)
     paths = np.empty((n_replicas, n + 1))
     paths[:, 0] = x
@@ -163,13 +155,13 @@ def estimate_EH(model, x: float, t: float, n_replicas: int, rng, *,
     paths killed below zero contribute nothing, crossings contribute
     e^{rho (x - S_tau)}.  A start above t is its own crossing line.
     """
-    rho = _regime_rho(model, rho)
+    tw = make_tilted_walk(model, rho)
+    rho = tw.rho
     if x < 0:
         raise ValueError("start below the barrier")
     if x > t:
         return EstimateWithCI(value=1.0, stderr=0.0, n_effective=float("inf"),
                               extra={"rho": rho, "exact": True})
-    tw = make_tilted_walk(model, rho)
     ens = passage_ensemble(tw, x, n_replicas, rng, lower=0.0, upper=t,
                            max_steps=max_steps)
     samples = np.zeros(n_replicas)
@@ -208,13 +200,13 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     band_eps=0 disables the band entirely.  Replicas whose off-spine forest
     hit a hard cap are reported in extra["invalid_fraction"].
     """
-    rho = _regime_rho(model, rho)
+    tw = make_tilted_walk(model, rho)
+    rho = tw.rho
     if not 0.0 <= x:
         raise ValueError("start below the barrier")
     if x > t:
         return EstimateWithCI(value=1.0, stderr=0.0, n_effective=float("inf"),
                               extra={"rho": rho, "exact": True})
-    tw = make_tilted_walk(model, rho)
     if renewal is None:
         from .walks import closed_form_renewal
         if tw.span is None:

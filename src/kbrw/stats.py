@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate, from_samples
 from .models import Regime
-from .walks import cramer_gamma, estimate_C_R, make_tilted_walk, passage_ensemble
+from .walks import cramer_cutoff, estimate_C_R, make_tilted_walk, passage_ensemble
 
 MIN_EXCEEDANCES = 20        # exceedances a grid point needs to enter a tail fit
 MIN_POINTS = 4              # usable grid points a tail fit needs
@@ -246,14 +246,13 @@ def estimate_constants(model, regime, n_replicas: int, rng, *,
         out["c_star_sub"].truncated_fraction = tf
 
         twp = make_tilted_walk(model, rho_p)
-        gamma = cramer_gamma(twp.step)
-        b = 40.0 / gamma
+        b, cert = cramer_cutoff(twp.step)
         pens = passage_ensemble(twp, 0.0, n_replicas, rng,
                                 lower=0.0, upper=b, max_steps=max_steps)
         q = binomial_estimate(int(pens.hit_above.sum()), n_replicas,
                               truncated_fraction=pens.truncated_fraction)
         q.extra["cutoff"] = float(b)
-        q.extra["certification_bound"] = float(math.exp(-gamma * b))
+        q.extra["certification_bound"] = float(cert)
         out["q_no_return"] = q
         out["C_R"] = estimate_C_R(twp, n_replicas, rng, max_steps=max_steps)
         return out

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import EstimateWithCI, from_samples
-from .models import Regime, log_laplace
+from .models import Regime
+from .walks import make_tilted_walk
 
 LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
 
@@ -58,15 +59,18 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
 
     x is a single start height or one per replica.  Exceeding a cap marks the
     tree truncated and freezes its partial counts; nothing is dropped
-    silently.  probe_levels must all lie above every start.
+    silently.  Starts and probe_levels must be finite, and the levels must
+    lie above every start.
     """
     xarr = np.broadcast_to(np.asarray(x, float), (n_replicas,))
+    levels = np.sort(np.asarray(probe_levels, float))
+    if not (np.all(np.isfinite(xarr)) and np.all(np.isfinite(levels))):
+        raise ValueError("starts and probe levels must be finite")
     if np.any(xarr < 0):
         raise ValueError("root below the barrier")
     regime = model.analytics().regime
     if regime not in (Regime.CRITICAL, Regime.SUBCRITICAL):
         raise ValueError(f"total progeny is infinite in regime {regime.value}")
-    levels = np.sort(np.asarray(probe_levels, float))
     if levels.size > 8:
         raise ValueError("at most 8 probe levels (bitmask bookkeeping)")
     if levels.size and np.any(levels < xarr.max()):
@@ -269,13 +273,10 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
     like 2^g until paths fall below the pruning line, so every extra decade
     of eps multiplies the work.
     """
-    if rho is None:
-        rho = model.analytics().regime_tilt()
-    psi, dpsi, _ = log_laplace(model, rho)
-    if abs(psi) > 1e-8:
-        raise ValueError("stopped line mass needs a mass-1 tilt")
-    if dpsi < -1e-9:
+    tw = make_tilted_walk(model, rho)
+    if tw.drift_sign < 0:
         raise ValueError("negative-drift tilt: the crossing line is defective")
+    rho = tw.rho
     if t <= x:
         raise ValueError("level must lie above the start")
     floor_w = prune_eps * math.exp(rho * x)

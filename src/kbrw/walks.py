@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate
-from .models import _inverse_cdf, lattice_span, log_laplace
+from .models import _inverse_cdf, drift_sign, lattice_span, log_laplace
 
 MASS_TOL = 1e-8          # |psi(rho)| must be below this for a probability tilt
 DEFAULT_MAX_STEPS = 10 ** 7
@@ -56,15 +56,34 @@ class TiltedWalk:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.step.sample(rng, n)
 
+    @property
+    def drift_sign(self) -> int:
+        """-1, 0 or 1; drifts within models.REGIME_TOL of 0 count as zero."""
+        return drift_sign(self.drift)
 
-def make_tilted_walk(model, rho) -> TiltedWalk:
-    """Build the spine walk for a mass-1 tilt.
+    @property
+    def skip_free_down(self) -> bool:
+        """Lowest step -span: every descending ladder height is one span."""
+        return self.span is not None and \
+            abs(float(np.min(self.step.support())) + self.span) <= 1e-12
 
-    ``rho`` is a number or one of "star", "plus", "minus"; the tilt must
-    satisfy |psi(rho)| <= 1e-8 (psi-roots, and rho_star in the critical case
-    where it is itself a root).
+    @property
+    def skip_free_up(self) -> bool:
+        """Highest step +span: every ascending ladder height is one span."""
+        return self.span is not None and \
+            abs(float(np.max(self.step.support())) - self.span) <= 1e-12
+
+
+def make_tilted_walk(model, rho=None) -> TiltedWalk:
+    """Build the spine walk for a mass-1 tilt; the package's one mass-1 check.
+
+    ``rho`` is a number, one of "star", "plus", "minus", or None for the
+    regime's tilt; |psi(rho)| <= MASS_TOL must hold (psi-roots, and rho_star
+    in the critical case where it is itself a root).
     """
-    if isinstance(rho, str):
+    if rho is None:
+        value = model.analytics().regime_tilt()
+    elif isinstance(rho, str):
         an = model.analytics()
         table = {"star": an.rho_star, "plus": an.rho_plus, "minus": an.rho_minus}
         if rho not in table:
@@ -76,7 +95,8 @@ def make_tilted_walk(model, rho) -> TiltedWalk:
         value = float(rho)
     psi, dpsi, d2psi = log_laplace(model, value)
     if abs(psi) > MASS_TOL:
-        raise ValueError(f"psi({value}) = {psi:.3e}: not a probability tilt")
+        raise ValueError(f"psi({value}) = {psi:.3e}: not a probability tilt "
+                         f"(a mass-1 tilt has |psi| <= {MASS_TOL:g})")
 
     step = model.tilted_step(value)
     sup = step.support()
@@ -114,6 +134,14 @@ def cramer_gamma(step) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def cramer_cutoff(step, floor: float = 0.0) -> tuple[float, float]:
+    """(b, e^{-gamma b}), b = max(40/gamma, floor): a drift-up walk past b
+    ever drops below 0 with probability at most e^{-gamma b}."""
+    gamma = cramer_gamma(step)
+    b = max(40.0 / gamma, floor)
+    return b, math.exp(-gamma * b)
 
 
 def _walk_chunks(walk: TiltedWalk, pos: np.ndarray, rng, max_steps: int, visit):
@@ -253,16 +281,13 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
 @dataclass
 class RenewalEstimate:
     x_grid: np.ndarray
-    r_values: list           # EstimateWithCI per grid point
+    values: np.ndarray       # R at each grid point
+    stderr: np.ndarray       # 0 where the table is exact
     truncated_fraction: float = 0.0
     certification_bound: float = 0.0
-    span: float | None = None
-
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.r_values])
 
     def isotonic_values(self) -> np.ndarray:
-        return np.maximum.accumulate(self.values())
+        return np.maximum.accumulate(self.values)
 
     def evaluate(self, x) -> np.ndarray:
         """R(x) by linear interpolation on the isotonic table; 0 below 0."""
@@ -279,21 +304,44 @@ def _check_grid(x_grid) -> np.ndarray:
     grid = np.asarray(x_grid, float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("x_grid must be strictly increasing")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("x_grid must be finite")
     if grid[0] < 0:
         raise ValueError("x_grid must start at 0 or above")
     return grid
 
 
-def _finish_renewal(grid, sums, sumsq, n, truncated, cert_bound, span):
-    ests = []
-    for k in range(grid.size):
-        mean = sums[k] / n
-        var = max(sumsq[k] / n - mean * mean, 0.0)
-        ests.append(EstimateWithCI(
-            value=float(mean), stderr=float(math.sqrt(var / n)), n_effective=float(n),
-            truncated_fraction=truncated))
-    return RenewalEstimate(x_grid=grid, r_values=ests, truncated_fraction=truncated,
-                           certification_bound=cert_bound, span=span)
+def _lattice_renewal(grid, span: float, r: float = 1.0) -> RenewalEstimate:
+    """Exact R(x) = sum_{k <= floor(x/span)} r^k: every descending ladder
+    height is one span and the next ladder exists with probability r."""
+    m = np.floor(grid / span + 1e-9)
+    values = m + 1.0 if r == 1.0 else (1.0 - r ** (m + 1)) / (1.0 - r)
+    return RenewalEstimate(x_grid=grid, values=values, stderr=np.zeros(grid.size))
+
+
+def _mc_renewal(grid, n_replicas: int, block_hist) -> RenewalEstimate:
+    """Mean and stderr of the renewal count, RENEWAL_BLOCK replicas a pass.
+
+    ``block_hist(b)`` runs b replicas and returns their (b, G + 1) histogram
+    of events by grid bin and how many of them max_steps cut short.
+    """
+    G = grid.size
+    sums = np.zeros(G)
+    sumsq = np.zeros(G)
+    n_trunc = 0
+    done = 0
+    while done < n_replicas:
+        b = min(RENEWAL_BLOCK, n_replicas - done)
+        done += b
+        hist, trunc = block_hist(b)
+        counts = 1 + np.cumsum(hist[:, :G], axis=1, dtype=np.float64)
+        sums += counts.sum(axis=0)
+        sumsq += (counts * counts).sum(axis=0)
+        n_trunc += trunc
+    mean = sums / n_replicas
+    var = np.maximum(sumsq / n_replicas - mean * mean, 0.0)
+    return RenewalEstimate(grid, mean, np.sqrt(var / n_replicas),
+                           truncated_fraction=n_trunc / n_replicas)
 
 
 def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
@@ -308,7 +356,7 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
     at max_steps per replica with the truncated fraction reported (their
     partial counts bias R downward, which the duality cross-check bounds).
     """
-    if walk.drift < -1e-9:
+    if walk.drift_sign < 0:
         raise ValueError("renewal function needs drift >= 0 (star or plus tilt)")
     grid = _check_grid(x_grid)
     if method == "VisitCount":
@@ -321,13 +369,8 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
 def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
     x_max = grid[-1]
-    sums = np.zeros(G)
-    sumsq = np.zeros(G)
-    n_trunc = 0
-    done_total = 0
-    while done_total < n_replicas:
-        b = min(RENEWAL_BLOCK, n_replicas - done_total)
-        done_total += b
+
+    def block_hist(b):
         hist = np.zeros((b, G + 1), np.int64)
         rows = np.arange(b)          # live row -> block row
 
@@ -350,43 +393,25 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
             return go
 
         _walk_chunks(walk, np.zeros(b), rng, max_steps, visit)
-        counts = 1 + np.cumsum(hist[:, :G], axis=1, dtype=np.float64)
-        sums += counts.sum(axis=0)
-        sumsq += (counts * counts).sum(axis=0)
-        n_trunc += rows.size
-    return _finish_renewal(grid, sums, sumsq, n_replicas, n_trunc / n_replicas,
-                           0.0, walk.span)
+        return hist, rows.size
+
+    return _mc_renewal(grid, n_replicas, block_hist)
 
 
 def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
     x_max = grid[-1]
-    sup = walk.step.support()
-    if walk.span is not None and sup is not None and abs(walk.drift) <= 1e-9 \
-            and abs(float(np.min(sup)) + walk.span) <= 1e-12:
-        # skip-free-down at zero drift: every descending ladder height is one
-        # span and the ladder sequence never dies, so the duality sum
-        # 1 + #{n: n*span <= x} is exact with no sampling at all
-        values = np.floor(grid / walk.span + 1e-9) + 1.0
-        ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf)
-                for v in values]
-        return RenewalEstimate(x_grid=grid, r_values=ests, span=walk.span)
+    if walk.drift_sign == 0 and walk.skip_free_down:
+        # ladder heights are one span and the ladder sequence never dies:
+        # the duality sum 1 + #{n: n*span <= x} is exact with no sampling
+        return _lattice_renewal(grid, walk.span)
     # drift-up walks terminate their ladder sequence with a Cramer certificate
-    cutoff = None
-    cert_per_event = 0.0
-    if walk.drift > 1e-9:
-        gamma = cramer_gamma(walk.step)
-        cutoff = max(40.0 / gamma, x_max + 1.0)
-        cert_per_event = math.exp(-gamma * cutoff)
-
-    sums = np.zeros(G)
-    sumsq = np.zeros(G)
-    n_trunc = 0
+    cutoff, cert_per_event = (cramer_cutoff(walk.step, x_max + 1.0)
+                              if walk.drift_sign > 0 else (None, 0.0))
     cert_bound = 0.0
-    done_total = 0
-    while done_total < n_replicas:
-        b = min(RENEWAL_BLOCK, n_replicas - done_total)
-        done_total += b
+
+    def block_hist(b):
+        nonlocal cert_bound
         hist = np.zeros((b, G + 1), np.int64)
         trunc = np.zeros(b, bool)
         rows = np.arange(b)
@@ -406,12 +431,11 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
                 bins = np.searchsorted(grid, T[idx[ok]], side="left")
                 np.add.at(hist, (idx[ok], bins), 1)
             rows = idx[ok]
-        counts = 1 + np.cumsum(hist[:, :G], axis=1, dtype=np.float64)
-        sums += counts.sum(axis=0)
-        sumsq += (counts * counts).sum(axis=0)
-        n_trunc += int(trunc.sum())
-    return _finish_renewal(grid, sums, sumsq, n_replicas, n_trunc / n_replicas,
-                           cert_bound / n_replicas, walk.span)
+        return hist, int(trunc.sum())
+
+    est = _mc_renewal(grid, n_replicas, block_hist)
+    est.certification_bound = cert_bound / n_replicas
+    return est
 
 
 def closed_form_renewal(walk: TiltedWalk, x_grid) -> RenewalEstimate:
@@ -421,27 +445,17 @@ def closed_form_renewal(walk: TiltedWalk, x_grid) -> RenewalEstimate:
     geometric sum: critical R(x) = floor(x/span)+1; drift-up R(x) =
     sum_{k<=floor(x/span)} r^k with r the ruin probability p_down/p_up.
     """
-    sup = walk.step.support()
-    if sup is None or walk.span is None:
+    if walk.span is None:
         raise ValueError("closed-form renewal needs a lattice step law")
-    s = walk.span
-    vals = set(np.round(np.asarray(sup, float) / s).astype(int).tolist())
-    if vals != {-1, 1}:
+    sup = walk.step.support()
+    if not (walk.skip_free_down and walk.skip_free_up and sup.size == 2):
         raise ValueError("closed-form renewal implemented for +-span steps only")
     p_up = float(walk.step.probs()[np.argmax(sup)])
     grid = _check_grid(x_grid)
-    m = np.floor(grid / s + 1e-9).astype(np.int64)
-    if abs(walk.drift) <= 1e-9:
-        r = 1.0
-        values = (m + 1).astype(float)
-    elif walk.drift > 0:
-        r = (1.0 - p_up) / p_up
-        values = (1.0 - r ** (m + 1)) / (1.0 - r)
-    else:
+    if walk.drift_sign < 0:
         raise ValueError("closed-form renewal needs drift >= 0")
-    ests = [EstimateWithCI(value=float(v), stderr=0.0, n_effective=math.inf)
-            for v in values]
-    return RenewalEstimate(x_grid=grid, r_values=ests, span=s)
+    r = 1.0 if walk.drift_sign == 0 else (1.0 - p_up) / p_up
+    return _lattice_renewal(grid, walk.span, r)
 
 
 def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
@@ -455,9 +469,9 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
     C_R * t * P(up before down) (critical) or C_R * P(up before down)
     (drift-up), both of which approach 1.
     """
-    if walk.drift < -1e-9:
+    if walk.drift_sign < 0:
         raise ValueError("C_R defined for drift >= 0 tilts")
-    if abs(walk.drift) <= 1e-9:
+    if walk.drift_sign == 0:
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
                                lower=0.0, upper=None, max_steps=max_steps)
         under = ens.undershoots()
@@ -469,8 +483,7 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
         method = "undershoot"
         cert = 0.0
     else:
-        gamma = cramer_gamma(walk.step)
-        cutoff = 40.0 / gamma
+        cutoff, cert = cramer_cutoff(walk.step)
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
                                lower=0.0, upper=cutoff, max_steps=max_steps)
         p = binomial_estimate(int(ens.hit_above.sum()), n_replicas)
@@ -478,12 +491,11 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
                              n_effective=float(n_replicas),
                              truncated_fraction=ens.truncated_fraction)
         method = "survival"
-        cert = math.exp(-gamma * cutoff)
 
     probe = passage_ensemble(walk, 0.0, n_replicas, rng,
                              lower=0.0, upper=probe_t, max_steps=max_steps)
     p_probe = probe.p_hit_upper()
-    if abs(walk.drift) <= 1e-9:
+    if walk.drift_sign == 0:
         product = est.value * probe_t * p_probe.value
     else:
         product = est.value * p_probe.value
@@ -613,9 +625,7 @@ def first_ladder_height_mean(walk: TiltedWalk, rng) -> tuple:
     """
     if walk._h1_cache is not None:
         return walk._h1_cache
-    sup = walk.step.support()
-    if walk.span is not None and sup is not None \
-            and abs(float(np.max(sup)) - walk.span) <= 1e-12:
+    if walk.skip_free_up:
         walk._h1_cache = (walk.span, 0.0, 0.0)
         return walk._h1_cache
     ens = passage_ensemble(walk, 0.0, H1_REPLICAS, rng,

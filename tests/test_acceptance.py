@@ -185,8 +185,7 @@ def test_criterion_02_oracle_matrix(model_c, two_point):
     tab = walks.renewal_function(tw_p, [4.0], 1_000_000, rng_for_block(950, 9),
                                  method="VisitCount")
     closed = sum(R_GEOM ** k for k in range(5))
-    r4 = tab.r_values[0]
-    pairs.append(("tp-plus R(4)", closed, r4.value, r4.stderr))
+    pairs.append(("tp-plus R(4)", closed, tab.values[0], tab.stderr[0]))
 
     zs = [abs(mc - exact) / se for _, exact, mc, se in pairs]
     ok = len(pairs) >= 12 and max(zs) <= TOL["z"]
@@ -280,10 +279,9 @@ def test_criterion_05_renewal_methods(model_c, two_point):
         l = walks.renewal_function(tw, grid, 10 ** 6, rng_for_block(seed, 1),
                                    method="LadderDuality")
         cr = walks.estimate_C_R(tw, 10 ** 6, rng_for_block(seed, 2))
-        vv, lv = v.values(), l.values()
+        vv, lv = v.values, l.values
         # R(0) is exact under both methods: 0 spread over 0 error is a match
-        z = float(pooled_z(vv, [e.stderr for e in v.r_values],
-                           lv, [e.stderr for e in l.r_values]).max())
+        z = float(pooled_z(vv, v.stderr, lv, l.stderr).max())
         rel = float((np.maximum(np.abs(vv - closed),
                                 np.abs(lv - closed)) / closed).max())
         cr_rel = abs(cr.value - cr_closed) / cr_closed

@@ -89,7 +89,11 @@ class TestExitCodes:
                  ("--x", -1),
                  ("--model", SUPERCRITICAL),
                  ("--seed", "abc"),
-                 ("--levels", "2,x")]
+                 ("--levels", "2,x"),
+                 ("--levels", "nan"),
+                 ("--levels", "2,inf"),
+                 ("--survival-curve", "4,nan"),
+                 ("--x", "nan")]
         for k, extra in enumerate(cases):
             out = tmp_path / f"x{k}"
             code = run_cli("simulate", "--model", "critical-lattice",
@@ -199,7 +203,11 @@ class TestWalk:
                 "--grid": "0:5:1", "--replicas": 100, "--seed": 1}
         for bad in ({"--tilt": "plus"}, {"--replicas": 0}, {"--max-steps": 0},
                     {"--grid": "-1:3:1"},
-                    {"--model": "two-point", "--tilt": "minus"}):
+                    {"--model": "two-point", "--tilt": "minus"},
+                    {"--cr-reference": 0}, {"--cr-reference": -3},
+                    {"--probe-t": 0}, {"--probe-t": -5}, {"--probe-t": "inf"},
+                    {"--grid": "nan"}, {"--grid": "0,inf"},
+                    {"--grid": "0:nan:1"}):
             flags = [f"{k}={v}" for k, v in {**base, **bad}.items()]
             code = run_cli("walk", *flags, "--out", tmp_path / "walk")
             assert code == 2, bad
@@ -243,6 +251,10 @@ class TestSpine:
                  ("critical-lattice", ["--x", 2]),
                  ("critical-lattice", ["--seed", "abc"]),
                  ("critical-gaussian", ["--renewal-grid", "0:a:1"]),
+                 ("critical-gaussian", ["--renewal-grid", "0,inf"]),
+                 ("critical-lattice", ["--band-eps", 2]),
+                 ("critical-lattice", ["--band-eps", 1]),
+                 ("critical-lattice", ["--band-eps=-1"]),
                  (SUPERCRITICAL, [])]
         for k, (model, extra) in enumerate(cases):
             out = tmp_path / f"sp{k}"

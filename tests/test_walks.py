@@ -45,6 +45,15 @@ def gauss_walk():
     return walks.make_tilted_walk(models.critical_binary_gaussian(), "star")
 
 
+def zero_drift_lattice_walk(values, probs):
+    """A zero-drift lattice walk with no branching model behind it."""
+    step = models.FiniteStep(values, probs)
+    _, m1, m2 = step.mgf_parts(0.0)
+    assert m1 == 0.0
+    return walks.TiltedWalk(rho=0.0, step=step, drift=m1, variance=m2,
+                            span=models.lattice_span(step.support()))
+
+
 class TestTiltedWalks:
     def test_critical_lattice_star_is_simple_walk(self, ssrw):
         assert abs(ssrw.drift) < 1e-12
@@ -72,6 +81,22 @@ class TestTiltedWalks:
         # psi(rho_star) < 0 away from criticality: not a mass-1 tilt
         with pytest.raises(ValueError, match="not a probability tilt"):
             walks.make_tilted_walk(models.two_point_subcritical(), "star")
+
+    def test_default_is_the_regime_tilt(self):
+        for model in (models.critical_lattice_binary(),
+                      models.two_point_subcritical()):
+            w = walks.make_tilted_walk(model)
+            assert w.rho == model.analytics().regime_tilt()
+        with pytest.raises(ValueError, match="no default tilt"):
+            walks.make_tilted_walk(models.IidModel(
+                models.FixedOffspring(2), models.GaussianStep(0.0)))
+
+    def test_drift_sign(self, ssrw, plus_walk, minus_walk, gauss_walk):
+        assert [w.drift_sign for w in (ssrw, plus_walk, minus_walk, gauss_walk)] \
+            == [0, 1, -1, 0]
+        tol = models.REGIME_TOL
+        assert [models.drift_sign(d) for d in (-2 * tol, -tol, tol, 2 * tol)] \
+            == [-1, 0, 0, 1]
 
     def test_unknown_name_rejected(self, ssrw):
         with pytest.raises(ValueError, match="unknown tilt"):
@@ -160,31 +185,28 @@ class TestRenewal:
         est = walks.renewal_function(ssrw, self.GRID, 20_000, rng,
                                      method="VisitCount", max_steps=10 ** 6)
         exact = np.floor(self.GRID) + 1.0
-        for e, target in zip(est.r_values, exact):
-            # 0.05 covers the downward truncation bias at this step cap
-            assert abs(e.value - target) <= 4.0 * e.stderr + 0.05
-        assert est.r_values[0].value == 1.0 and est.r_values[0].stderr == 0.0
+        # 0.05 covers the downward truncation bias at this step cap
+        assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr + 0.05)
+        assert est.values[0] == 1.0 and est.stderr[0] == 0.0
 
     def test_duality_exact_for_skip_free_down(self, ssrw):
         rng = np.random.default_rng(211)
         est = walks.renewal_function(ssrw, self.GRID, 100, rng,
                                      method="LadderDuality")
-        assert np.array_equal(est.values(), np.floor(self.GRID) + 1.0)
-        assert all(e.stderr == 0.0 for e in est.r_values)
+        assert np.array_equal(est.values, np.floor(self.GRID) + 1.0)
+        assert np.all(est.stderr == 0.0)
 
     def test_two_point_both_methods(self, plus_walk):
         rng = np.random.default_rng(212)
-        exact = walks.closed_form_renewal(plus_walk, self.GRID).values()
+        exact = walks.closed_form_renewal(plus_walk, self.GRID).values
         visit = walks.renewal_function(plus_walk, self.GRID, 60_000, rng,
                                        method="VisitCount")
         dual = walks.renewal_function(plus_walk, self.GRID, 60_000, rng,
                                       method="LadderDuality")
         for est in (visit, dual):
-            for e, target in zip(est.r_values, exact):
-                assert abs(e.value - target) <= 4.0 * e.stderr + 1e-9
-        for ev, ed in zip(visit.r_values, dual.r_values):
-            pooled = math.hypot(ev.stderr, ed.stderr)
-            assert abs(ev.value - ed.value) <= 4.0 * pooled + 1e-9
+            assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr + 1e-9)
+        pooled = np.hypot(visit.stderr, dual.stderr)
+        assert np.all(np.abs(visit.values - dual.values) <= 4.0 * pooled + 1e-9)
         assert dual.certification_bound < 1e-12
 
     def test_negative_drift_rejected(self, minus_walk):
@@ -198,6 +220,9 @@ class TestRenewal:
             walks.renewal_function(ssrw, [0.0, 2.0, 1.0], 10, rng)
         with pytest.raises(ValueError, match="start at 0"):
             walks.renewal_function(ssrw, [-1.0, 0.0], 10, rng)
+        for bad in ([0.0, math.nan], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                walks.renewal_function(ssrw, bad, 10, rng)
 
     def test_evaluate_interpolates_and_guards(self, ssrw):
         est = walks.closed_form_renewal(ssrw, self.GRID)
@@ -216,7 +241,40 @@ class TestRenewal:
     def test_closed_form_geometric(self, plus_walk):
         est = walks.closed_form_renewal(plus_walk, np.array([0.0, 1.0, 2.0]))
         expect = [1.0, 1.0 + R_RUIN, 1.0 + R_RUIN + R_RUIN ** 2]
-        assert np.allclose(est.values(), expect, atol=1e-12)
+        assert np.allclose(est.values, expect, atol=1e-12)
+
+
+class TestSkipFree:
+    """One direction at a time: the simple walk is skip-free both ways."""
+
+    GRID = np.arange(0.0, 6.5, 1.0)
+
+    def test_down_only_walk_takes_the_exact_duality(self):
+        walk = zero_drift_lattice_walk([-1.0, 2.0], [2.0 / 3.0, 1.0 / 3.0])
+        assert walk.skip_free_down and not walk.skip_free_up
+        # no generator: the exact table draws nothing
+        dual = walks.renewal_function(walk, self.GRID, 10, None,
+                                      method="LadderDuality")
+        assert np.array_equal(dual.values, np.floor(self.GRID) + 1.0)
+        assert np.all(dual.stderr == 0.0)
+        visit = walks.renewal_function(walk, self.GRID, 20_000,
+                                       np.random.default_rng(216),
+                                       method="VisitCount")
+        # 0.05 covers the downward truncation bias at the default step cap
+        assert np.all(np.abs(visit.values - dual.values)
+                      <= 4.0 * visit.stderr + 0.05)
+        with pytest.raises(ValueError, match="span steps only"):
+            walks.closed_form_renewal(walk, self.GRID)
+
+    def test_up_only_walk_has_unit_ladder_height(self):
+        walk = zero_drift_lattice_walk([-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0])
+        assert walk.skip_free_up and not walk.skip_free_down
+        assert walks.first_ladder_height_mean(walk, None) == (1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="span steps only"):
+            walks.closed_form_renewal(walk, self.GRID)
+
+    def test_continuous_walk_is_neither(self, gauss_walk):
+        assert not gauss_walk.skip_free_down and not gauss_walk.skip_free_up
 
 
 class TestCramerRoot:
