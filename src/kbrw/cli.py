@@ -24,7 +24,6 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,32 +79,27 @@ def _fmt_level(t: float) -> str:
     return format(float(t), "g")
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    model_doc: dict | None
-    flags: dict
-    seed: int | None
-    output_dir: Path
-
-    def config_hash(self) -> str:
-        # workers and output path stay out: they must not change results
-        doc = {"command": self.command, "flags": self.flags,
-               "model": self.model_doc, "seed": self.seed}
-        return _sha256(_canonical(doc).encode())
-
-
 class Run:
-    """Collects artifacts for one command invocation, then seals a MANIFEST."""
+    """One command invocation: its config, the artifacts it writes into
+    ``output_dir``, then a sealed MANIFEST."""
 
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
+    def __init__(self, command: str, model_doc: dict | None, flags: dict,
+                 seed: int | None, output_dir):
+        # workers and output path stay out: they must not change results
+        self.config_doc = {"command": command, "flags": flags,
+                           "model": model_doc, "seed": seed}
+        self.output_dir = Path(output_dir)
         self.outputs: dict[str, str] = {}
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+        self.output_dir.mkdir(parents=True, exist_ok=True)
+
+    @property
+    def config(self) -> "Run":
+        """The run itself; perfbench/layers.py reads ``run.config.output_dir``."""
+        return self
 
     def write_text(self, name: str, text: str) -> None:
         data = text.encode()
-        (self.config.output_dir / name).write_bytes(data)
+        (self.output_dir / name).write_bytes(data)
         self.outputs[name] = _sha256(data)
 
     def write_json(self, name: str, obj) -> None:
@@ -118,7 +112,7 @@ class Run:
         if any(len(c) != n for c in columns):
             raise ValueError(f"{name}: columns differ in length")
         digest = hashlib.sha256()
-        with open(self.config.output_dir / name, "wb") as fh:
+        with open(self.output_dir / name, "wb") as fh:
             def put(lines: str) -> None:
                 data = (lines + "\n").encode()
                 fh.write(data)
@@ -133,15 +127,15 @@ class Run:
     def finish(self, truncation: dict) -> int:
         manifest = {
             "code_version": __version__,
-            "command": self.config.command,
-            "config_sha256": self.config.config_hash(),
+            "command": self.config_doc["command"],
+            "config_sha256": _sha256(_canonical(self.config_doc).encode()),
             "outputs": dict(sorted(self.outputs.items())),
-            "seed": self.config.seed,
+            "seed": self.config_doc["seed"],
             "seed_scheme": SEED_SCHEME,
             "truncation": truncation,
         }
         data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
-        (self.config.output_dir / "MANIFEST.json").write_bytes(data)
+        (self.output_dir / "MANIFEST.json").write_bytes(data)
         worst = max([0.0, *truncation.values()])
         return 3 if worst > 0.5 else 0
 
@@ -181,7 +175,8 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Either 'a:b:step' (inclusive endpoints) or 'v1,v2,...'; finite values."""
+    """Either 'a:b:step' (inclusive endpoints) or 'v1,v2,...'; finite and
+    strictly increasing values."""
     try:
         vals = [float(v) for v in spec.split(":" if ":" in spec else ",")]
         if not np.all(np.isfinite(vals)):
@@ -190,8 +185,10 @@ def _parse_grid(spec: str) -> np.ndarray:
             a, b, step = vals
             if step <= 0 or b < a:
                 raise ValueError("need a <= b and step > 0")
-            return np.arange(a, b + 1e-9 * max(step, 1.0), step)
-        return np.array(vals)
+            vals = np.arange(a, b + 1e-9 * max(step, 1.0), step)
+        if np.any(np.diff(vals) <= 0):
+            raise ValueError("values must be strictly increasing")
+        return np.asarray(vals)
     except ValueError as exc:
         raise ConfigError(f"grid {spec!r}: {exc}") from exc
 
@@ -232,8 +229,6 @@ def cmd_simulate(args) -> int:
              "max_particles": args.max_particles,
              "max_generations": args.max_generations,
              "survival_curve": args.survival_curve}
-    config = ExperimentConfig("simulate", _model_doc(model), flags, seed,
-                              Path(args.out))
 
     model_json = models.model_to_json(model)
     tasks = [(model_json, args.x, tuple(levels), min(BLOCK, n - i * BLOCK),
@@ -250,7 +245,7 @@ def cmd_simulate(args) -> int:
             parts = [_sim_block(t) for t in tasks]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run = Run(config)
+    run = Run("simulate", _model_doc(model), flags, seed, args.out)
 
     Z, leaves, Y, trunc, gens, maxpos = (
         np.concatenate([getattr(f, k) for f in parts])
@@ -292,8 +287,8 @@ def cmd_simulate(args) -> int:
             tab = stats.survival_curve(counts, curve_grid, truncated=trunc)
             summary[f"survival_{name}"] = {
                 "grid": [float(g) for g in curve_grid],
-                "p": [e.value for e in tab.estimates],
-                "stderr": [e.stderr for e in tab.estimates],
+                "p": tab.values.tolist(),
+                "stderr": tab.stderr.tolist(),
                 "exceedances": [int(k) for k in tab.exceedances],
                 "flagged": [bool(f) for f in tab.flagged],
             }
@@ -329,9 +324,7 @@ def cmd_analyze_model(args) -> int:
     text = json.dumps(doc, sort_keys=True, indent=2)
     print(text)
     if args.out:
-        config = ExperimentConfig("analyze-model", doc["model"], {}, None,
-                                  Path(args.out))
-        run = Run(config)
+        run = Run("analyze-model", doc["model"], {}, None, args.out)
         run.write_text("summary.json", text + "\n")
         return run.finish({})
     return 0
@@ -364,9 +357,7 @@ def cmd_walk(args) -> int:
     flags = {"tilt": args.tilt, "grid": [float(g) for g in grid],
              "replicas": args.replicas, "probe_t": args.probe_t,
              "max_steps": args.max_steps, "cr_reference": args.cr_reference}
-    config = ExperimentConfig("walk", _model_doc(model), flags, seed,
-                              Path(args.out))
-    run = Run(config)
+    run = Run("walk", _model_doc(model), flags, seed, args.out)
 
     ladder = walks.renewal_function(tw, grid, args.replicas,
                                     rng_for_block(seed, 1),
@@ -428,6 +419,8 @@ def cmd_spine(args) -> int:
         raise ConfigError("level must lie above the start")
     if args.replicas < 1 or args.renewal_replicas < 1:
         raise ConfigError("replicas and renewal-replicas must be positive")
+    if args.naive_replicas < 0:
+        raise ConfigError("naive-replicas must be nonnegative")
     if not 0.0 <= args.band_eps < 1.0:
         raise ConfigError("band-eps must lie in [0, 1)")
 
@@ -435,9 +428,6 @@ def cmd_spine(args) -> int:
              "band_eps": args.band_eps, "naive_replicas": args.naive_replicas,
              "renewal_grid": args.renewal_grid,
              "renewal_replicas": args.renewal_replicas}
-    config = ExperimentConfig("spine", _model_doc(model), flags, seed,
-                              Path(args.out))
-
     renewal = None
     try:
         if args.renewal_grid:
@@ -453,7 +443,7 @@ def cmd_spine(args) -> int:
                                              band_eps=args.band_eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run = Run(config)
+    run = Run("spine", _model_doc(model), flags, seed, args.out)
 
     scale = stats.survival_scale(args.t, est.extra["rho"], an.regime)
     summary = {
@@ -494,14 +484,12 @@ def cmd_spine(args) -> int:
 def cmd_oracle(args) -> int:
     model = _load_model(args.model)
     flags = {"x": args.x, "depth": args.depth, "level": args.level}
-    config = ExperimentConfig("oracle", _model_doc(model), flags, None,
-                              Path(args.out))
     try:
         res = oracle.tree_expectations(model, args.x, args.depth,
                                        level=args.level)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run = Run(config)
+    run = Run("oracle", _model_doc(model), flags, None, args.out)
 
     run.write_csv("records.csv",
                   ["generation", "alive", "leaves", "crossers", "wsum",
@@ -527,6 +515,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.rho_ratio is not None and not -np.inf < args.rho_ratio < 0:
+        raise ConfigError("rho-ratio must be negative and finite")
+    if args.reference_constant is not None \
+            and not 0 < args.reference_constant < np.inf:
+        raise ConfigError("reference-constant must be positive and finite")
     paths = [Path(p) for p in args.records.split(",")]
     counts, trunc = [], []
     for p in paths:
@@ -561,17 +554,15 @@ def cmd_estimate(args) -> int:
              "grid": [float(g) for g in grid], "rho_ratio": args.rho_ratio,
              "reference_constant": args.reference_constant,
              "records": [str(p) for p in paths]}
-    config = ExperimentConfig("estimate", None, flags, None, Path(args.out))
-    run = Run(config)
-
     table = stats.survival_curve(counts, grid, truncated=trunc)
     try:
         rep = stats.tail_fit(table, args.regime, rho_ratio=args.rho_ratio)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    run = Run("estimate", None, flags, None, args.out)
 
     fit = rep.fitted_exponent_or_constant
-    ps = np.array([e.value for e in rep.survival])
+    ps = rep.values
     if rep.mode == "CriticalPlateau":
         normalized = rep.grid * np.log(rep.grid) ** 2 * ps
     else:
@@ -579,8 +570,8 @@ def cmd_estimate(args) -> int:
         normalized = ps * rep.grid ** expo
     run.write_csv("curve.csv",
                   ["n", "exceedances", "survival", "stderr", "normalized"],
-                  [rep.grid, [int(round(p * table.n_replicas)) for p in ps],
-                   ps, [e.stderr for e in rep.survival], normalized])
+                  [rep.grid, np.rint(ps * table.n_replicas).astype(np.int64),
+                   ps, rep.stderr, normalized])
 
     summary = {
         "kind": "estimate",
@@ -806,10 +797,8 @@ def cmd_report(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        config = ExperimentConfig("report", None,
-                                  {"runs": sorted(args.runs.split(","))},
-                                  None, Path(args.out))
-        run = Run(config)
+        run = Run("report", None, {"runs": sorted(args.runs.split(","))},
+                  None, args.out)
         run.write_json("summary.json", {"kind": "report", "rows": rows})
         run.write_text("report.txt", text + "\n")
         return run.finish({})

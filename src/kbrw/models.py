@@ -284,15 +284,6 @@ class _ModelBase:
     def psi(self, t: float) -> float:
         return self.pattern_mgf_parts(t)[3]
 
-    def dpsi(self, t: float) -> float:
-        m0, m1, _, _ = self.pattern_mgf_parts(t)
-        return m1 / m0
-
-    def d2psi(self, t: float) -> float:
-        m0, m1, m2, _ = self.pattern_mgf_parts(t)
-        r = m1 / m0
-        return m2 / m0 - r * r
-
     def analytics(self) -> ModelAnalytics:
         return classify_regime(self)
 
@@ -428,18 +419,15 @@ def model_from_json(source) -> "_ModelBase":
 
 
 def log_laplace(model, t):
-    """psi, psi', psi'' at t (scalar or array)."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((3, ts.size))
-    for i, ti in enumerate(ts):
+    """psi, psi', psi'' at t (scalar or 1-d array)."""
+    def at(ti) -> tuple[float, float, float]:
         m0, m1, m2, ps = model.pattern_mgf_parts(ti)
         r = m1 / m0
-        out[0, i] = ps
-        out[1, i] = r
-        out[2, i] = m2 / m0 - r * r
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
-    return out[0], out[1], out[2]
+        return float(ps), float(r), float(m2 / m0 - r * r)
+
+    if np.ndim(t) == 0:
+        return at(float(t))
+    return tuple(np.array([at(ti) for ti in np.asarray(t, float)]).reshape(-1, 3).T)
 
 
 def _bisect(f, lo, hi, tol=1e-14, max_iter=200):
@@ -522,7 +510,11 @@ def find_rho_star(model) -> float:
         raise ValueError(
             "expected children at the top displacement >= 1: psi(t)/t decreases "
             "to its infimum at infinity and the model escapes upward")
-    g = lambda t: t * model.dpsi(t) - model.psi(t)
+
+    def g(t):
+        psi, dpsi, _ = log_laplace(model, t)
+        return t * dpsi - psi
+
     lo = 1e-9
     if g(lo) >= 0:
         raise ValueError("psi(t)/t is nondecreasing from 0; no interior minimizer")
@@ -539,7 +531,7 @@ def find_rho_star(model) -> float:
     if abs(check - root) > STRATEGY_AGREE_TOL * max(1.0, abs(root)):
         raise ArithmeticError(
             f"rho_star strategies disagree: bisection {root!r} vs golden {check!r}")
-    if abs(model.psi(root) - root * model.dpsi(root)) > RHO_TOL:
+    if abs(g(root)) > RHO_TOL:
         raise ArithmeticError("rho_star residual exceeds tolerance")
     return root
 

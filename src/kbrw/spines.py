@@ -5,7 +5,8 @@ tilt at a mass-1 root rho turns it into a single tilted random walk (the
 spine) dressed with ordinary trees hanging off size-biased litters.  The
 estimators trade the exponentially rare forward event for an exponentially
 large but bounded weight, which is what makes levels far beyond forward
-reach measurable.
+reach measurable.  The spine's own conditioned step is the walks module's
+h-transform draw with the renewal function as h.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from . import trees
 from .estimates import EstimateWithCI, from_samples
 from .models import PatternModel, _inverse_cdf, _take_runs, size_biased_pmf
-from .walks import (RenewalEstimate, h_transform_pick, make_tilted_walk,
-                    passage_ensemble)
+from .walks import (RenewalEstimate, h_transform_accept, h_transform_pick,
+                    make_tilted_walk, passage_ensemble)
 
 MAX_SPINE_STEPS = 10 ** 6   # a spine still below t after this many is an error
 
@@ -198,7 +199,8 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     R(y) e^{rho y} in expectation, so the abandonment is certified:
     extra["bias_bound"] bounds the (upward) bias of the estimate, and
     band_eps=0 disables the band entirely.  Replicas whose off-spine forest
-    hit a hard cap are reported in extra["invalid_fraction"].
+    hit a hard cap are invalid: their share is the estimate's
+    truncated_fraction, and extra["invalid_fraction"] repeats it.
     """
     tw = make_tilted_walk(model, rho)
     rho = tw.rho
@@ -232,10 +234,14 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         y = S[idx]
         if rep.sib_counts is not None or tw.span is not None:
             # pattern tables always; iid steps only when they live on a lattice
-            znew, srep, spos = _lattice_spine_step(rep, R, y, idx, rng)
+            keys, pick = h_transform_pick(R, y, rep.choice_z, rep.choice_probs, rng)
+            znew = keys + rep.choice_z[pick]
         else:
-            znew, srep, spos = _continuous_iid_spine_step(
-                rep, R, renewal, y, idx, rng)
+            znew = h_transform_accept(R, y, rep.spine_step, renewal, rng)
+        if rep.sib_counts is None:
+            srep, spos = _iid_litter(rep, y, idx, rng)
+        else:
+            srep, spos = _pattern_litter(rep, keys, pick, idx)
         if srep.size:
             alive = spos >= 0.0
             crossed_sib = alive & (spos > t)
@@ -283,10 +289,10 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     norm = math.exp(-rho * x) / float(R(np.asarray(x)))
     Mstar *= norm
     w = 1.0 / Mstar
-    est = from_samples(w)
+    est = from_samples(w, truncated_fraction=float(invalid.mean()))
     est.extra.update(rho=rho, t=float(t),
                      ess=float(w.sum() ** 2 / (w ** 2).sum()),
-                     invalid_fraction=float(invalid.mean()),
+                     invalid_fraction=est.truncated_fraction,
                      bias_bound=float(np.mean(dropped * norm * w * w)),
                      band_floor=L,
                      weight_bound=float(R(np.asarray(x)) * math.exp(-rho * (t - x))
@@ -294,41 +300,16 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     return est
 
 
-def _lattice_spine_step(rep, R, y, idx, rng):
-    """One conditioned step for every active replica, grouped by position.
-
-    Each group draws its rows of the (displacement, probability) table
-    weighted by R at the landing site.  Pattern siblings leave in group
-    order, which is the order the off-spine forest takes its roots in.
-    """
-    keys, pick = h_transform_pick(R, y, rep.choice_z, rep.choice_probs, rng)
-    znew = keys + rep.choice_z[pick]
-    if rep.sib_counts is None:
-        return (znew, *_iid_litter(rep, y, idx, rng))
+def _pattern_litter(rep, keys, pick, idx):
+    """Siblings of every active spine whose (rounded) position ``keys`` drew
+    table row ``pick``, as (replica ids, positions).  They leave in
+    position-group order, which is the order the off-spine forest takes its
+    roots in."""
     order = np.argsort(keys, kind="stable")
     counts = rep.sib_counts[pick[order]]
-    return (znew, np.repeat(idx[order], counts),
+    return (np.repeat(idx[order], counts),
             np.repeat(keys[order], counts)
             + _take_runs(rep.sib_flat, rep.sib_offsets[pick[order]], counts))
-
-
-def _continuous_iid_spine_step(rep, R, renewal, y, idx, rng):
-    """Accept-reject against the increasing envelope of R."""
-    top = float(renewal.x_grid[-1])
-    r_top = float(renewal.isotonic_values()[-1])
-    reach = 6.0 * getattr(rep.spine_step, "sigma", 1.0)
-    znew = np.empty(y.size)
-    pending = np.arange(y.size)
-    while pending.size:
-        z = rep.spine_step.sample(rng, pending.size)
-        cand = y[pending] + z
-        env = np.where(z <= reach,
-                       R(np.minimum(y[pending] + reach, top)), r_top)
-        ok = rng.random(pending.size) * env <= R(np.minimum(cand, top))
-        # beyond the table R is flat-extended; the envelope stays valid
-        znew[pending[ok]] = cand[ok]
-        pending = pending[~ok]
-    return (znew, *_iid_litter(rep, y, idx, rng))
 
 
 def _iid_litter(rep, y, idx, rng):

@@ -7,6 +7,8 @@ exponent is a free ratio, plateau of n (log n)^2 P(Z>n) at criticality),
 and the explicit constants come from first-passage functionals of the
 tilted walks rather than from the trees themselves.  The convolution check
 samples the heavy-tail lemma directly, with exact Pareto factors.
+Survival, tail-fit and convolution tables hold one array of values and one
+of standard errors over their grid, as the walks module's renewal tables do.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ def survival_scale(t: float, rho: float, regime) -> float:
 # survival tables
 
 
+def _binomial(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """k/n and its stderr at every grid point, by binomial_estimate's
+    arithmetic; NaN for n = 0."""
+    p = k / n if n > 0 else np.full(k.size, math.nan)
+    return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / max(n, 1))
+
+
 @dataclass
 class SurvivalTable:
     """P(count > n) on a threshold grid, with censoring bookkeeping.
@@ -55,13 +64,12 @@ class SurvivalTable:
     """
 
     grid: np.ndarray
-    estimates: list[EstimateWithCI]
+    values: np.ndarray           # P(count > n) at each grid point
+    stderr: np.ndarray
     exceedances: np.ndarray
     flagged: np.ndarray
     n_replicas: int
-
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.estimates])
+    truncated_fraction: float = 0.0
 
 
 def survival_curve(counts, grid, truncated=None) -> SurvivalTable:
@@ -73,18 +81,12 @@ def survival_curve(counts, grid, truncated=None) -> SurvivalTable:
         truncated = np.zeros(counts.shape, bool)
     truncated = np.asarray(truncated, bool)
     n = counts.size
-    exceed = np.empty(grid.size, np.int64)
-    flagged = np.empty(grid.size, bool)
-    ests = []
-    trunc_frac = float(truncated.mean()) if n else 0.0
-    for k, thr in enumerate(grid):
-        over = counts > thr
-        exceed[k] = int(over.sum())
-        flagged[k] = bool(np.any(truncated & ~over))
-        ests.append(binomial_estimate(int(exceed[k]), n,
-                                      truncated_fraction=trunc_frac))
-    return SurvivalTable(grid=grid, estimates=ests, exceedances=exceed,
-                         flagged=flagged, n_replicas=n)
+    exceed = np.array([np.count_nonzero(counts > thr) for thr in grid], np.int64)
+    # flagged where some truncated tree's partial count is not past n
+    flagged = grid >= counts[truncated].astype(float).min(initial=math.inf)
+    return SurvivalTable(grid, *_binomial(exceed, n), exceedances=exceed,
+                         flagged=flagged, n_replicas=n,
+                         truncated_fraction=float(truncated.mean()) if n else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,8 @@ def survival_curve(counts, grid, truncated=None) -> SurvivalTable:
 class TailFitReport:
     mode: str                    # "SubcriticalSlope" or "CriticalPlateau"
     grid: np.ndarray             # the points the fit actually used
-    survival: list[EstimateWithCI]
+    values: np.ndarray           # P(Z > n) at those points
+    stderr: np.ndarray
     fitted_exponent_or_constant: EstimateWithCI
     diagnostics: float           # chi2/dof (slope) or max/min ratio (plateau)
     extra: dict = field(default_factory=dict)
@@ -121,9 +124,7 @@ def tail_fit(table: SurvivalTable, regime,
         raise ValueError(
             f"need >= {MIN_POINTS} grid points with >= {MIN_EXCEEDANCES} "
             f"exceedances; achievable grid: {[float(g) for g in ach]}")
-    grid = table.grid[usable]
-    ests = [e for e, u in zip(table.estimates, usable) if u]
-    p = np.array([e.value for e in ests])
+    grid, p, sp = table.grid[usable], table.values[usable], table.stderr[usable]
     if np.any(np.diff(table.exceedances[usable]) > 0):
         raise ValueError("survival table is not nonincreasing")
 
@@ -146,7 +147,8 @@ def tail_fit(table: SurvivalTable, regime,
         dof = max(dx.size - 1, 1)
         chi2 = float(((dy - slope * dx) ** 2 / v).sum() / dof)
         fitted = EstimateWithCI(value=slope, stderr=se, n_effective=float(grid.size))
-        report = TailFitReport(mode="SubcriticalSlope", grid=grid, survival=ests,
+        report = TailFitReport(mode="SubcriticalSlope", grid=grid, values=p,
+                               stderr=sp,
                                fitted_exponent_or_constant=fitted,
                                diagnostics=chi2,
                                extra={"intercept": intercept})
@@ -158,12 +160,11 @@ def tail_fit(table: SurvivalTable, regime,
 
     if regime is Regime.CRITICAL:
         ok = grid > math.e          # (log n)^2 needs n safely above e
-        grid, p = grid[ok], p[ok]
-        ests = [e for e, u in zip(ests, ok) if u]
+        grid, p, sp = grid[ok], p[ok], sp[ok]
         if grid.size < MIN_POINTS:
             raise ValueError(f"critical plateau needs >= {MIN_POINTS} points above n = e")
         scaled = grid * np.log(grid) ** 2 * p
-        ses = grid * np.log(grid) ** 2 * np.array([e.stderr for e in ests])
+        ses = grid * np.log(grid) ** 2 * sp
         top = grid >= grid[-1] / 10.0
         half = grid >= grid[-1] / math.sqrt(10.0)
         ratio = float(scaled[top].max() / scaled[top].min())
@@ -173,7 +174,8 @@ def tail_fit(table: SurvivalTable, regime,
         se = float(ses[half].mean())
         fitted = EstimateWithCI(value=mean, stderr=se,
                                 n_effective=float(half.sum()))
-        return TailFitReport(mode="CriticalPlateau", grid=grid, survival=ests,
+        return TailFitReport(mode="CriticalPlateau", grid=grid, values=p,
+                             stderr=sp,
                              fitted_exponent_or_constant=fitted,
                              diagnostics=ratio,
                              extra={"scaled_sequence": scaled.tolist()})
@@ -269,7 +271,8 @@ class ConvolutionReport:
     p: float
     a: float
     t_grid: np.ndarray
-    scaled_tail: list[EstimateWithCI]   # t^p P(sum > t) per grid point
+    values: np.ndarray                  # t^p P(sum > t) per grid point
+    stderr: np.ndarray
     limit: EstimateWithCI               # a E[sum Y_i^p]
     relative_deviation_at_top: float
 
@@ -311,19 +314,15 @@ def convolution_tail_check(xi_sampler, y_sampler, p: float, a: float,
         ypsum += float(yp.sum())
         ypsumsq += float((yp ** 2).sum())
         exceed += (sums[None, :] > t_grid[:, None]).sum(axis=1)
-    scaled = []
-    for k, t in enumerate(t_grid):
-        est = binomial_estimate(int(exceed[k]), n_replicas)
-        scaled.append(EstimateWithCI(value=t ** p * est.value,
-                                     stderr=t ** p * est.stderr,
-                                     n_effective=est.n_effective))
+    prob, se = _binomial(exceed, n_replicas)
+    scaled = t_grid ** p * prob
     m = ypsum / n_replicas
     var = max(ypsumsq / n_replicas - m * m, 0.0)
     limit = EstimateWithCI(value=a * m,
                            stderr=a * math.sqrt(var / n_replicas),
                            n_effective=float(n_replicas))
-    rel = abs(scaled[-1].value - limit.value) / limit.value
+    rel = abs(scaled[-1] - limit.value) / limit.value
     return ConvolutionReport(p=float(p), a=float(a), t_grid=t_grid,
-                             scaled_tail=scaled, limit=limit,
+                             values=scaled, stderr=t_grid ** p * se, limit=limit,
                              relative_deviation_at_top=float(rel))
 

@@ -3,7 +3,10 @@
 Everything here is a plain one-dimensional random walk: first-passage
 ensembles, the renewal function of the barrier problem, Tanaka's pathwise
 construction of the walk conditioned to stay positive, the min-record
-reweighting on top of it, and Doob h-transform stepping.
+reweighting on top of it, and Doob h-transform stepping.  The two
+h-transform draws live here, ``h_transform_pick`` for lattice steps and
+``h_transform_accept`` for continuous ones; the conditioned spine and
+``conditioned_chain`` both step through them.
 
 Conventions (fixed package-wide): the barrier at a is crossed downward when
 S < a strictly and upward when S > a strictly; ascending ladder epochs are
@@ -21,7 +24,7 @@ first passage, visit counting and Tanaka surgery each hand it a per-chunk
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -51,7 +54,6 @@ class TiltedWalk:
     drift: float             # psi'(rho)
     variance: float          # psi''(rho)
     span: float | None       # lattice span of the step support, None if continuous
-    _h1_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.step.sample(rng, n)
@@ -620,23 +622,16 @@ def first_ladder_height_mean(walk: TiltedWalk, rng) -> tuple:
 
     Skip-free-up lattice walks (max step = +span) have H_1 = span exactly;
     otherwise Monte Carlo with truncated replicas excluded and reported.
-    Cached on the walk instance: the constant is reused by every reweighted
-    sample.
     """
-    if walk._h1_cache is not None:
-        return walk._h1_cache
     if walk.skip_free_up:
-        walk._h1_cache = (walk.span, 0.0, 0.0)
-        return walk._h1_cache
+        return walk.span, 0.0, 0.0
     ens = passage_ensemble(walk, 0.0, H1_REPLICAS, rng,
                            lower=None, upper=0.0, max_steps=10 ** 6)
     h = ens.finals[ens.hit_above]
     if h.size == 0:
         raise RuntimeError("no ladder epochs observed; drift too negative?")
-    walk._h1_cache = (float(h.mean()),
-                      float(h.std(ddof=1) / math.sqrt(h.size)),
-                      ens.truncated_fraction)
-    return walk._h1_cache
+    return (float(h.mean()), float(h.std(ddof=1) / math.sqrt(h.size)),
+            ens.truncated_fraction)
 
 
 @dataclass
@@ -715,47 +710,60 @@ def h_transform_pick(h, y, z, probs, rng):
     return keys, pick
 
 
+def h_transform_accept(h, y, step, renewal: RenewalEstimate, rng) -> np.ndarray:
+    """One h-transformed move of a continuous ``step`` law from every ``y``.
+
+    Accept-reject: h must be nondecreasing and at most the isotonic top of
+    the ``renewal`` table.  A proposal y + z is kept with probability
+    h(min(y + z, top)) over an envelope: h(min(y + reach, top)) for
+    z <= reach = 6 sigma, the table top beyond.  Returns the accepted
+    positions, which may pass the table's last grid point: there h is read
+    flat-extended.
+    """
+    top = float(renewal.x_grid[-1])
+    r_top = float(renewal.isotonic_values()[-1])
+    reach = 6.0 * getattr(step, "sigma", 1.0)
+    out = np.empty(y.size)
+    pending = np.arange(y.size)
+    while pending.size:
+        z = step.sample(rng, pending.size)
+        cand = y[pending] + z
+        env = np.where(z <= reach, h(np.minimum(y[pending] + reach, top)), r_top)
+        if not np.all(env > 0.0):
+            raise ValueError("h vanishes within reach of a start")
+        ok = rng.random(pending.size) * env <= h(np.minimum(cand, top))
+        out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+    return out
+
+
 def conditioned_chain(walk: TiltedWalk, renewal, x0, n_steps: int,
                       n_replicas: int, rng, *,
                       boundary: str = "nonnegative") -> np.ndarray:
     """(n_replicas, n_steps+1) paths of the renewal-h-transformed walk from x0.
 
     ``renewal`` is a RenewalEstimate (its isotonic interpolant is used) or a
-    callable h.  Lattice walks step by ``h_transform_pick``, the draw the
-    conditioned spine takes; continuous walks use acceptance-rejection with
-    the table maximum as the envelope, raising if a proposal leaves the
-    covered range.
+    callable h.  Lattice walks step by ``h_transform_pick`` and continuous
+    walks by ``h_transform_accept``, the draws the conditioned spine takes;
+    a continuous chain needs the table and raises once a position passes
+    its last grid point.
     """
     h = _h_function(renewal, boundary, walk.span)
     pos = np.broadcast_to(np.asarray(x0, float), (n_replicas,)).copy()
     out = np.empty((n_replicas, n_steps + 1))
     out[:, 0] = pos
     sup = walk.step.support()
-    if sup is not None:
-        sup = np.asarray(sup, float)
-        probs = np.asarray(walk.step.probs(), float)
-        for k in range(1, n_steps + 1):
-            keys, pick = h_transform_pick(h, pos, sup, probs, rng)
-            pos = keys + sup[pick]
-            out[:, k] = pos
-        return out
-
-    if callable(renewal):
+    if sup is None and callable(renewal):
         raise ValueError("continuous h-chains need a RenewalEstimate table")
-    top = renewal.x_grid[-1]
-    envelope = float(renewal.isotonic_values()[-1])
     for k in range(1, n_steps + 1):
-        pending = np.arange(n_replicas)
-        nxt = np.empty(n_replicas)
-        while pending.size:
-            z = pos[pending] + walk.sample(rng, pending.size)
-            if np.any(z > top + 1e-12):
-                raise ValueError(
-                    f"renewal table covers [0, {top}]; proposal reached "
-                    f"{float(z.max()):.3f}, extend the grid")
-            acc = rng.random(pending.size) * envelope < h(z)
-            nxt[pending[acc]] = z[acc]
-            pending = pending[~acc]
-        pos = nxt
+        if sup is not None:
+            keys, pick = h_transform_pick(h, pos, sup, walk.step.probs(), rng)
+            pos = keys + sup[pick]
+        else:
+            pos = h_transform_accept(h, pos, walk.step, renewal, rng)
+            top = renewal.x_grid[-1]
+            if np.any(pos > top + 1e-12):
+                raise ValueError(f"renewal table covers [0, {top}]; the chain "
+                                 f"reached {float(pos.max()):.3f}, extend the grid")
         out[:, k] = pos
     return out

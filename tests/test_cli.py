@@ -19,6 +19,16 @@ def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def assert_rerun_identical(root, *argv):
+    """Two runs of one command write the same files, byte for byte."""
+    for name in ("a", "b"):
+        assert run_cli(*argv, "--out", root / name) == 0
+    files = sorted(p.name for p in (root / "a").iterdir())
+    assert files == sorted(p.name for p in (root / "b").iterdir())
+    for f in files:
+        assert (root / "a" / f).read_bytes() == (root / "b" / f).read_bytes(), f
+
+
 @pytest.fixture(scope="session")
 def sim_runs(tmp_path_factory):
     """Two identical critical-lattice runs (different worker counts) plus a
@@ -93,6 +103,8 @@ class TestExitCodes:
                  ("--levels", "nan"),
                  ("--levels", "2,inf"),
                  ("--survival-curve", "4,nan"),
+                 ("--survival-curve", "16,4"),
+                 ("--survival-curve", "3,3,5"),
                  ("--x", "nan")]
         for k, extra in enumerate(cases):
             out = tmp_path / f"x{k}"
@@ -160,7 +172,7 @@ class TestWriteCsv:
         lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
         want = ("\n".join(lines) + "\n").encode()
         with tempfile.TemporaryDirectory() as d:
-            run = cli.Run(cli.ExperimentConfig("test", None, {}, None, Path(d)))
+            run = cli.Run("test", None, {}, None, d)
             run.write_csv("t.csv", header, columns)
             got = (Path(d) / "t.csv").read_bytes()
         assert got == want
@@ -207,11 +219,17 @@ class TestWalk:
                     {"--cr-reference": 0}, {"--cr-reference": -3},
                     {"--probe-t": 0}, {"--probe-t": -5}, {"--probe-t": "inf"},
                     {"--grid": "nan"}, {"--grid": "0,inf"},
-                    {"--grid": "0:nan:1"}):
+                    {"--grid": "0:nan:1"}, {"--grid": "3,1"}):
             flags = [f"{k}={v}" for k, v in {**base, **bad}.items()]
             code = run_cli("walk", *flags, "--out", tmp_path / "walk")
             assert code == 2, bad
             assert "config error" in capsys.readouterr().err
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        assert_rerun_identical(tmp_path, "walk", "--model", "two-point",
+                               "--tilt", "plus", "--grid", "0:4:1",
+                               "--replicas", 2000, "--seed", 5,
+                               "--probe-t", 5, "--max-steps", 2000)
 
 
 class TestSpine:
@@ -255,6 +273,7 @@ class TestSpine:
                  ("critical-lattice", ["--band-eps", 2]),
                  ("critical-lattice", ["--band-eps", 1]),
                  ("critical-lattice", ["--band-eps=-1"]),
+                 ("critical-lattice", ["--naive-replicas=-5"]),
                  (SUPERCRITICAL, [])]
         for k, (model, extra) in enumerate(cases):
             out = tmp_path / f"sp{k}"
@@ -264,6 +283,14 @@ class TestSpine:
             assert code == 2, (model, extra)
             assert "config error" in capsys.readouterr().err
             assert not out.exists(), (model, extra)
+
+    @pytest.mark.parametrize("model, extra", [
+        ("critical-lattice", ["--naive-replicas", 1000]),
+        ("critical-gaussian", ["--renewal-grid", "0:10:0.5",
+                               "--renewal-replicas", 300])])
+    def test_rerun_is_byte_identical(self, tmp_path, model, extra):
+        assert_rerun_identical(tmp_path, "spine", "--model", model, "--t", 2,
+                               "--replicas", 300, "--seed", 4, *extra)
 
 
 class TestOracleCmd:
@@ -287,6 +314,10 @@ class TestOracleCmd:
         assert code == 2
         assert "depth" in capsys.readouterr().err
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        assert_rerun_identical(tmp_path, "oracle", "--model", "two-point",
+                               "--depth", 6, "--level", 2)
+
 
 class TestEstimate:
     def test_subcritical_slope_pipeline(self, sim_runs, tmp_path):
@@ -301,6 +332,31 @@ class TestEstimate:
                           names=True)
         assert d.shape == (5,)
         assert np.all(np.diff(d["survival"]) < 0)
+
+    def test_rerun_is_byte_identical(self, sim_runs, tmp_path):
+        assert_rerun_identical(tmp_path, "estimate", "--records",
+                               sim_runs / "tp" / "records.csv",
+                               "--regime", "subcritical",
+                               "--grid", "2,4,8,16,32", "--rho-ratio", -2.14441)
+
+    def test_bad_grid_or_reference_is_config_error(self, tmp_path, capsys):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("replica,Z\n"
+                       + "".join(f"{i},{i % 64}\n" for i in range(4000)))
+        good = ["--grid", "2,4,8,16"]
+        cases = [["--grid", "8,5,3"], ["--grid", "3,3,5"],
+                 [*good, "--reference-constant", 0],
+                 [*good, "--reference-constant", "inf"],
+                 [*good, "--reference-constant=-1"],
+                 [*good, "--rho-ratio", 0], [*good, "--rho-ratio", 2],
+                 [*good, "--rho-ratio=-inf"]]
+        for k, extra in enumerate(cases):
+            out = tmp_path / f"est{k}"
+            code = run_cli("estimate", "--records", rec, "--regime",
+                           "critical", *extra, "--out", out)
+            assert code == 2, extra
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists(), extra
 
     def test_unreachable_grid_is_config_error(self, sim_runs, tmp_path,
                                               capsys):

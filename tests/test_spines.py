@@ -188,6 +188,17 @@ class TestSurvival:
         assert est.extra["bias_bound"] < 0.1 * est.value
         assert est.extra["invalid_fraction"] == 0.0
 
+    def test_capped_forest_is_truncation(self, model_c, monkeypatch):
+        # off-spine trees capped at 4 births: the invalid replicas are the
+        # estimate's truncated fraction, which the spine command reports
+        forest = trees.simulate_killed_forest
+        monkeypatch.setattr(trees, "simulate_killed_forest",
+                            lambda *a: forest(*a, trees.SimCaps(max_particles=4)))
+        est = spines.estimate_survival_spine(model_c, 0.0, 6.0, 500,
+                                             rng_for_block(406, 1), band_eps=0.0)
+        assert est.truncated_fraction > 0.0
+        assert est.truncated_fraction == est.extra["invalid_fraction"]
+
     def test_subcritical_level(self, two_point):
         spine = spines.estimate_survival_spine(two_point, 0.0, 2.0, 20_000,
                                                rng_for_block(407, 0))

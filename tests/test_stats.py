@@ -23,7 +23,8 @@ class TestSurvivalCurve:
         rng = rng_for_block(500, 0)
         tab = stats.survival_curve(pareto(rng, 100_000), [2.0, 4.0, 8.0, 16.0])
         assert np.all(np.diff(tab.exceedances) <= 0)
-        assert all(e.n_effective == 100_000 for e in tab.estimates)
+        assert tab.n_replicas == 100_000
+        assert tab.values.shape == tab.stderr.shape == (4,)
 
     def test_censoring_flags_and_counts(self):
         counts = np.array([5, 50, 500])
@@ -33,7 +34,7 @@ class TestSurvivalCurve:
         assert tab.exceedances.tolist() == [2, 1]
         assert not tab.flagged[0]          # every truncated tree counted
         assert tab.flagged[1]              # 50 <= 100: lower bound only
-        assert tab.estimates[0].truncated_fraction == pytest.approx(1 / 3)
+        assert tab.truncated_fraction == pytest.approx(1 / 3)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -57,8 +58,10 @@ class TestTailFit:
         c = 0.5
         grid = np.array([2.0 ** k for k in range(5, 11)])
         exc = np.round(N * c / (grid * np.log(grid) ** 2)).astype(np.int64)
+        ests = [binomial_estimate(int(k), N) for k in exc]
         tab = stats.SurvivalTable(
-            grid=grid, estimates=[binomial_estimate(int(k), N) for k in exc],
+            grid=grid, values=np.array([e.value for e in ests]),
+            stderr=np.array([e.stderr for e in ests]),
             exceedances=exc, flagged=np.zeros(grid.size, bool), n_replicas=N)
         rep = stats.tail_fit(tab, "critical")
         assert rep.mode == "CriticalPlateau"
@@ -122,8 +125,7 @@ class TestConvolution:
         rep = stats.convolution_tail_check(self.ONE, self.ONE, 2.0, 1.0,
                                            1_000_000, [5.0, 10.0, 20.0, 40.0],
                                            rng_for_block(504, 1))
-        top = rep.scaled_tail[-1]
-        assert abs(top.value - 1.0) < 4.0 * top.stderr
+        assert abs(rep.values[-1] - 1.0) < 4.0 * rep.stderr[-1]
         assert rep.limit.value == pytest.approx(1.0, abs=1e-12)
         assert rep.limit.stderr == 0.0
 
@@ -134,15 +136,13 @@ class TestConvolution:
         assert rep.limit.value == pytest.approx(2.0, abs=1e-12)
         # preasymptotic level sits a few percent above 2 at t = 80
         assert rep.relative_deviation_at_top < 0.25
-        vals = [e.value for e in rep.scaled_tail]
-        assert vals[0] > vals[-1] > rep.limit.value * 0.9
+        assert rep.values[0] > rep.values[-1] > rep.limit.value * 0.9
 
     def test_first_moment_case(self):
         rep = stats.convolution_tail_check(self.ONE, self.ONE, 1.0, 1.0,
                                            1_000_000, [5.0, 10.0, 20.0, 40.0],
                                            rng_for_block(504, 3))
-        top = rep.scaled_tail[-1]
-        assert abs(top.value - 1.0) < 4.0 * top.stderr
+        assert abs(rep.values[-1] - 1.0) < 4.0 * rep.stderr[-1]
 
     def test_rejects_negative_litters(self):
         bad = lambda rng, n: np.full(n, -1)

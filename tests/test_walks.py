@@ -396,7 +396,6 @@ class TestMinRecordSampler:
         rng = np.random.default_rng(514)
         first = walks.first_ladder_height_mean(ssrw, rng)
         assert first == (1.0, 0.0, 0.0)
-        assert walks.first_ladder_height_mean(ssrw, rng) is first
 
 
 class ScriptedUniforms:
@@ -472,6 +471,15 @@ class TestConditionedChains:
         ch = walks.conditioned_chain(gauss_walk, table, 0.5, 4, 1_500, rng)
         assert ch.min() >= 0.0
         assert ch[:, -1].mean() > 0.5  # entropic repulsion pushes up
+
+    def test_continuous_start_out_of_reach_raises(self, gauss_walk):
+        # h is 0 below the barrier: no move from -10 within the envelope's
+        # reach is possible, so the draw refuses instead of spinning
+        table = walks.RenewalEstimate(np.array([0.0, 4.0]), np.array([1.0, 3.0]),
+                                      np.zeros(2))
+        with pytest.raises(ValueError, match="vanishes"):
+            walks.conditioned_chain(gauss_walk, table, -10.0, 1, 4,
+                                    np.random.default_rng(618))
 
     def test_continuous_needs_table(self, gauss_walk):
         rng = np.random.default_rng(616)
