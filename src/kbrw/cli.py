@@ -669,8 +669,13 @@ def _criterion_rows(runs):
     if sims:
         checked = sum(s["identity"]["checked"] for _, s, _ in sims)
         viol = sum(s["identity"]["violations"] for _, s, _ in sims)
-        add(1, "PASS" if checked > 0 and viol == 0 else "FAIL",
-            f"{viol} violations over {checked} non-truncated trees")
+        # the gate's truncated-share bound, on the pooled tree count
+        cut = sum(s["truncated_fraction"] * s["n_replicas"] for _, s, _ in sims)
+        share = TOLERANCES["truncated_share"]
+        few_cut = cut <= share * sum(s["n_replicas"] for _, s, _ in sims)
+        add(1, "PASS" if checked > 0 and viol == 0 and few_cut else "FAIL",
+            f"{viol} violations over {checked} non-truncated trees"
+            + ("" if few_cut else f"; {cut:g} trees truncated, over {share:.0%}"))
     else:
         add(1, "SKIP", "no simulate runs supplied")
 
@@ -773,9 +778,9 @@ def _criterion_rows(runs):
         if m is not None and "summary.json" in m.get("outputs", {}):
             groups.setdefault(m["config_sha256"], set()).add(
                 m["outputs"]["summary.json"])
-    repeated = {h: v for h, v in groups.items() if len(v) >= 1
-                and sum(1 for _, _, m in runs
-                        if m and m["config_sha256"] == h) >= 2}
+    repeated = {h: v for h, v in groups.items()
+                if sum(1 for _, _, m in runs
+                       if m and m["config_sha256"] == h) >= 2}
     if repeated:
         ok12 = all(len(v) == 1 for v in repeated.values())
         add(12, "PASS" if ok12 else "FAIL",

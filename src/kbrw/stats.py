@@ -1,14 +1,14 @@
-"""Tail exponents, explicit constants, and the convolution-tail check.
+"""Tail exponents, the exact critical constant, and the convolution-tail check.
 
 The simulation modules produce per-tree record tables; everything here is
 post-processing.  Survival curves keep truncated trees as honest lower
 bounds, the two tail laws get their own fit modes (log-log slope when the
 exponent is a free ratio, plateau of n (log n)^2 P(Z>n) at criticality),
-and the explicit constants come from first-passage functionals of the
-tilted walks rather than from the trees themselves.  The convolution check
-samples the heavy-tail lemma directly, with exact Pareto factors.
-Survival, tail-fit and convolution tables hold one array of values and one
-of standard errors over their grid, as the walks module's renewal tables do.
+and the plateau's constant c_crit is computed exactly from the tilted walk's
+step law, with no Monte Carlo.  The convolution check samples the heavy-tail
+lemma directly, with exact Pareto factors.  Survival, tail-fit and
+convolution tables hold one array of values and one of standard errors over
+their grid, as the walks module's renewal tables do.
 """
 
 from __future__ import annotations
@@ -18,13 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimates import EstimateWithCI, binomial_estimate, from_samples
-from .models import Regime
-from .walks import cramer_cutoff, estimate_C_R, make_tilted_walk, passage_ensemble
+from .estimates import EstimateWithCI
+from .models import GaussianStep, Regime
+# estimate_C_R and passage_ensemble are bound here only because
+# perfbench/layers.py wraps stats' copies; drop them with the next benchmark change
+from .walks import estimate_C_R, make_tilted_walk, passage_ensemble  # noqa: F401
 
 MIN_EXCEEDANCES = 20        # exceedances a grid point needs to enter a tail fit
 MIN_POINTS = 4              # usable grid points a tail fit needs
 CONVOLUTION_BLOCK = 1 << 21  # replicas per pass of convolution_tail_check
+ERFCX_FROM = 100.0          # x^2 from which erfcx's asymptotic series is used
+ERFCX_TERMS = 12            # its terms: the 13th is below 1e-16 relative there
 
 
 def _as_regime(regime) -> Regime:
@@ -184,82 +188,47 @@ def tail_fit(table: SurvivalTable, regime,
 
 
 # ---------------------------------------------------------------------------
-# explicit constants of the tilted walks
+# the explicit critical constant
 
 
-def _ratio_estimate(a: np.ndarray, b: np.ndarray) -> EstimateWithCI:
-    """mean(a)/mean(b) with the delta-method stderr for paired samples."""
-    n = a.size
-    ma, mb = float(a.mean()), float(b.mean())
-    cov = np.cov(a, b, ddof=1)
-    var = (cov[0, 0] / mb ** 2
-           + ma ** 2 * cov[1, 1] / mb ** 4
-           - 2.0 * ma * cov[0, 1] / mb ** 3) / n
-    return EstimateWithCI(value=ma / mb, stderr=float(math.sqrt(max(var, 0.0))),
-                          n_effective=float(n))
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """sum_{k>=0} (a+k)^-s: one by one below 200, then Euler-Maclaurin."""
+    total = 0.0
+    while a < 200.0:
+        total, a = total + a ** -s, a + 1.0
+    return total + a ** (1 - s) / (s - 1) + a ** -s / 2 + s * a ** (-s - 1) / 12 \
+        - s * (s + 1) * (s + 2) * a ** (-s - 3) / 720 \
+        + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * a ** (-s - 5) / 30240
 
 
-def estimate_constants(model, regime, n_replicas: int, rng, *,
-                       max_steps: int = 10 ** 6) -> dict[str, EstimateWithCI]:
-    """MC estimates of the explicit tail constants for the model's regime.
+def c_crit(model) -> float:
+    """c_crit = E_Q[e^{-rho* S_tau} - 1]/(m - 1) at the zero-drift rho* tilt,
+    exactly; S_tau is where the tilted walk from 0 first goes below 0.
 
-    Critical: c_prime_crit = E[e^{-rho* S_tau} - 1] over the rho*-tilted
-    walk dropped from 0 until it first goes below 0; c_crit divides that by
-    the branching surplus; c_star is the same functional in ratio form.
-    Subcritical: the analogous rho_minus functionals, plus the probability
-    that the rho_plus walk never returns below 0 (with a Cramer-certified
-    cutoff).  C_R comes from the first-passage limit in both regimes.
+    A skip-free-down lattice walk lands at S_tau = -span.  For a gaussian
+    step, Wiener-Hopf and Spitzer-Baxter make it exp(sum_{n>=1}
+    E_Q[e^{-rho* S_n}; S_n >= 0]/n), with terms erfcx(sqrt(c2 n))/(2n) for
+    c2 = rho*^2 sigma^2/2: math.erfc below c2 n = ERFCX_FROM, and above it
+    erfcx(x) = (1/(x sqrt pi)) sum_k (-1)^k (2k-1)!!/(2x^2)^k, whose k-th
+    terms sum over n to a Hurwitz zeta.  Other walks raise ValueError.
     """
-    regime = _as_regime(regime)
-    an = model.analytics()
-    if regime is not an.regime:
-        raise ValueError(f"model is {an.regime.value}; "
-                         f"cannot estimate {regime.value} constants")
-    out: dict[str, EstimateWithCI] = {}
-
-    if regime is Regime.CRITICAL:
-        rho = an.rho_star
-        tw = make_tilted_walk(model, rho)
-        ens = passage_ensemble(tw, 0.0, n_replicas, rng,
-                               lower=0.0, upper=None, max_steps=max_steps)
-        under = -ens.finals[ens.hit_below]          # -S_tau > 0
-        tf = ens.truncated_fraction
-        a = np.exp(rho * under) - 1.0
-        out["c_prime_crit"] = from_samples(a, truncated_fraction=tf)
-        nu1 = model.mean_offspring - 1.0
-        cp = out["c_prime_crit"]
-        out["c_crit"] = EstimateWithCI(value=cp.value / nu1, stderr=cp.stderr / nu1,
-                                       n_effective=cp.n_effective,
-                                       truncated_fraction=tf)
-        out["c_star"] = _ratio_estimate(a, rho * under)
-        out["c_star"].truncated_fraction = tf
-        out["C_R"] = estimate_C_R(tw, n_replicas, rng, max_steps=max_steps)
-        return out
-
-    if regime is Regime.SUBCRITICAL:
-        rho_m, rho_p = an.rho_minus, an.rho_plus
-        twm = make_tilted_walk(model, rho_m)
-        ens = passage_ensemble(twm, 0.0, n_replicas, rng,
-                               lower=0.0, upper=None, max_steps=max_steps)
-        under = -ens.finals[ens.hit_below]
-        tf = ens.truncated_fraction
-        a = np.exp(rho_m * under) - 1.0
-        out["c_star_sub"] = _ratio_estimate(a, rho_m * under)
-        out["c_star_sub"].truncated_fraction = tf
-
-        twp = make_tilted_walk(model, rho_p)
-        b, cert = cramer_cutoff(twp.step)
-        pens = passage_ensemble(twp, 0.0, n_replicas, rng,
-                                lower=0.0, upper=b, max_steps=max_steps)
-        q = binomial_estimate(int(pens.hit_above.sum()), n_replicas,
-                              truncated_fraction=pens.truncated_fraction)
-        q.extra["cutoff"] = float(b)
-        q.extra["certification_bound"] = float(cert)
-        out["q_no_return"] = q
-        out["C_R"] = estimate_C_R(twp, n_replicas, rng, max_steps=max_steps)
-        return out
-
-    raise ValueError(f"no constants defined in the {regime.value} regime")
+    tw = make_tilted_walk(model)
+    if tw.drift_sign != 0:
+        raise ValueError("c_crit needs a zero-drift (critical) tilt")
+    if tw.skip_free_down:
+        return math.expm1(tw.rho * tw.span) / (model.mean_offspring - 1.0)
+    if not isinstance(tw.step, GaussianStep):
+        raise ValueError("exact c_crit needs a skip-free-down lattice walk "
+                         "or a gaussian step")
+    c2 = 0.5 * tw.rho ** 2 * tw.variance
+    n0 = math.ceil(ERFCX_FROM / c2)     # first n on the series
+    total = sum(0.5 * math.exp(c2 * n) * math.erfc(math.sqrt(c2 * n)) / n
+                for n in range(1, n0))
+    coef = 1.0 / (2.0 * math.sqrt(math.pi * c2))
+    for k in range(ERFCX_TERMS):
+        total += coef * _hurwitz_zeta(k + 1.5, n0)
+        coef *= -(2 * k + 1) / (2.0 * c2)
+    return math.exp(total)
 
 
 # ---------------------------------------------------------------------------

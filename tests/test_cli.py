@@ -480,8 +480,20 @@ class TestReport:
             return {"kind": "estimate", "mode": "CriticalPlateau",
                     "diagnostics": ratio, "constant_factor": factor}
 
+        def sim(truncated):
+            return {"kind": "simulate", "n_replicas": 100,
+                    "truncated_fraction": truncated,
+                    "identity": {"checked": 99, "violations": 0}}
+
+        def rerun(digest):
+            # a run directory's summary with its MANIFEST.json
+            return walk(), {"config_sha256": "same",
+                            "outputs": {"summary.json": digest}}
+
         f, r = tol["critical_factor"], tol["subcritical_rel"]
+        share = tol["truncated_share"]
         cases = [
+            (1, [sim(share)], "PASS"), (1, [sim(up(share))], "FAIL"),
             (5, [walk()], "PASS"), (5, [walk(z=up(tol["z"]))], "FAIL"),
             (5, [walk(rel=up(tol["closed_form_rel"]))], "FAIL"),
             (5, [walk(cr=up(tol["cr_rel"]))], "FAIL"),
@@ -502,12 +514,17 @@ class TestReport:
             (10, [plateau()], "PASS"),
             (10, [plateau(ratio=up(tol["decade_ratio"]))], "FAIL"),
             (10, [plateau(factor=up(tol["constant_factor"]))], "FAIL"),
+            (12, [rerun("a"), rerun("a")], "PASS"),
+            (12, [rerun("a"), rerun("b")], "FAIL"),
         ]
         for i, (num, summaries, want) in enumerate(cases):
             dirs = []
             for j, summary in enumerate(summaries):
                 d = tmp_path / f"case{i}" / f"run{j}"
                 d.mkdir(parents=True)
+                if isinstance(summary, tuple):
+                    summary, manifest = summary
+                    (d / "MANIFEST.json").write_text(json.dumps(manifest))
                 (d / "summary.json").write_text(json.dumps(summary))
                 dirs.append(str(d))
             out = tmp_path / f"case{i}" / "rep"

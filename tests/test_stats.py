@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kbrw import models, stats
+from kbrw import models, stats, walks
 from kbrw.estimates import binomial_estimate
 from kbrw.seeds import rng_for_block
-
-RHO_C = math.log(2.0 + math.sqrt(3.0))
-RHO_MINUS = math.log(5.0 - math.sqrt(6.0))
-R_GEOM = (31.0 - 10.0 * math.sqrt(6.0)) / 19.0   # two-point renewal ratio
 
 
 def pareto(rng, n, p=2.0):
@@ -81,33 +77,69 @@ class TestTailFit:
             stats.tail_fit(tab, "out_of_scope")
 
 
+def _gaussian_c_crit_reference(model, n_terms=10 ** 6):
+    """exp(sum_n erfcx(c sqrt n)/(2n)) by scipy: n_terms terms, then the
+    asymptotic erfcx series summed with scipy's Hurwitz zeta."""
+    from scipy import special
+    tw = walks.make_tilted_walk(model)
+    c = tw.rho * math.sqrt(0.5 * tw.variance)
+    n = np.arange(1, n_terms + 1, dtype=float)
+    head = float(np.sum(special.erfcx(c * np.sqrt(n)) / (2.0 * n)))
+    coef, tail = 1.0 / (2.0 * c * math.sqrt(math.pi)), 0.0
+    for k in range(6):
+        tail += coef * special.zeta(k + 1.5, n_terms + 1)
+        coef *= -(2 * k + 1) / (2.0 * c * c)
+    return math.exp(head + tail)
+
+
+def critical_gaussian(children, sigma):
+    mu = -sigma * math.sqrt(2.0 * math.log(children))
+    return models.IidModel(models.FixedOffspring(children),
+                           models.GaussianStep(mu=mu, sigma=sigma))
+
+
 class TestConstants:
     def test_critical_lattice_closed_forms(self):
-        m = models.critical_lattice_binary()
-        con = stats.estimate_constants(m, "critical", 50_000, rng_for_block(502, 0))
         # the tilted walk is skip-free down, so the undershoot is exactly 1
-        # and every functional collapses to its closed form
-        assert con["c_prime_crit"].value == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-9)
-        assert con["c_crit"].value == pytest.approx(con["c_prime_crit"].value, abs=1e-12)
-        assert con["c_star"].value == pytest.approx((1.0 + math.sqrt(3.0)) / RHO_C, abs=1e-9)
-        assert con["C_R"].value == pytest.approx(1.0, abs=1e-12)
-        assert con["c_prime_crit"].truncated_fraction < 0.01
+        m = models.critical_lattice_binary()
+        assert stats.c_crit(m) == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
 
-    def test_subcritical_two_point_closed_forms(self):
-        m = models.two_point_subcritical()
-        con = stats.estimate_constants(m, "subcritical", 100_000, rng_for_block(502, 1))
-        target = (math.exp(RHO_MINUS) - 1.0) / RHO_MINUS
-        assert con["c_star_sub"].value == pytest.approx(target, abs=1e-9)
-        q = con["q_no_return"]
-        assert abs(q.value - (1.0 - R_GEOM)) < 4.0 * q.stderr
-        assert q.extra["certification_bound"] < 1e-12
-        cr = con["C_R"]
-        assert abs(cr.value - 1.0 / (1.0 - R_GEOM)) < 4.0 * cr.stderr
+    @pytest.mark.parametrize("children,sigma", [(2, 1.0), (3, 2.0)])
+    def test_gaussian_matches_scipy_series(self, children, sigma):
+        m = critical_gaussian(children, sigma)
+        assert m.analytics().regime is models.Regime.CRITICAL
+        assert stats.c_crit(m) == pytest.approx(
+            _gaussian_c_crit_reference(m), abs=1e-9)
+
+    def test_gaussian_undershoot_identity(self):
+        # c_crit = E_Q[e^{-rho* S_tau} - 1]/(m - 1) by Monte Carlo; walks
+        # still above 0 after max_steps are left out and their share reported
+        m = models.critical_binary_gaussian()
+        tw = walks.make_tilted_walk(m)
+        ens = walks.passage_ensemble(tw, 0.0, 20_000, rng_for_block(502, 0),
+                                     lower=0.0, upper=None, max_steps=10 ** 4)
+        a = np.expm1(-tw.rho * ens.finals[ens.hit_below]) \
+            / (m.mean_offspring - 1.0)
+        assert ens.truncated_fraction < 0.01
+        se = a.std(ddof=1) / math.sqrt(a.size)
+        assert abs(a.mean() - stats.c_crit(m)) < 4.0 * se, \
+            (a.mean(), se, ens.truncated_fraction)
+
+    def test_lattice_walk_not_skip_free_down_is_rejected(self):
+        # steps +1/-2, tilted to the zero-mean law (2/3, 1/3): e^{rho*} is
+        # the root y > 1 of y^3 - 6y + 2 = 0 and p_up = 1/(3y)
+        y = max(r.real for r in np.roots([1.0, 0.0, -6.0, 2.0]))
+        m = models.IidModel(models.FixedOffspring(2),
+                            models.TwoPointStep(up=1.0, down=-2.0,
+                                                p_up=1.0 / (3.0 * y)))
+        assert m.analytics().regime is models.Regime.CRITICAL
+        assert not walks.make_tilted_walk(m).skip_free_down
+        with pytest.raises(ValueError, match="skip-free-down"):
+            stats.c_crit(m)
 
     def test_regime_mismatch_is_rejected(self):
-        m = models.critical_lattice_binary()
-        with pytest.raises(ValueError, match="critical"):
-            stats.estimate_constants(m, "subcritical", 100, rng_for_block(502, 2))
+        with pytest.raises(ValueError, match="zero-drift"):
+            stats.c_crit(models.two_point_subcritical())
 
 
 class TestConvolution:
