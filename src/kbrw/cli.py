@@ -458,6 +458,9 @@ def cmd_spine(args) -> int:
         "scaled": {"value": scale * est.value, "stderr": scale * est.stderr},
         "naive": None,
         "z_spine_vs_naive": None,
+        # the Monte Carlo --renewal-grid table; the default table is exact
+        "renewal_truncated_fraction":
+            renewal.truncated_fraction if renewal is not None else 0.0,
     }
     if args.naive_replicas:
         fwd = trees.simulate_killed_forest(model, args.x, [args.t],
@@ -474,7 +477,8 @@ def cmd_spine(args) -> int:
         summary["z_spine_vs_naive"] = float(pooled_z(est.value, est.stderr,
                                                      naive.value, naive_se))
     run.write_json("summary.json", summary)
-    return run.finish({"spine": est.truncated_fraction})
+    return run.finish({"spine": est.truncated_fraction,
+                       "renewal": summary["renewal_truncated_fraction"]})
 
 
 # ---------------------------------------------------------------------------

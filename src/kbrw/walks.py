@@ -152,9 +152,10 @@ def _walk_chunks(walk: TiltedWalk, pos: np.ndarray, rng, max_steps: int, visit):
     Chunks start at 16 steps and double, capped by the element budget and by
     the steps left; all live rows share the step count t.  ``visit(t, cum)``
     gets the positions after steps t+1..t+c, one row per live row in order,
-    and returns the mask of rows that go on.  Returns ``(t, pos)``: the steps
-    taken and the last positions of the rows still live, which the caller
-    reports as truncated.
+    and returns the start positions of the rows that go on, in order: their
+    last positions, or a restart point the caller knows the walk reaches.
+    Returns ``(t, pos)``: the steps taken and the positions of the rows still
+    live, which the caller reports as truncated.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -166,9 +167,8 @@ def _walk_chunks(walk: TiltedWalk, pos: np.ndarray, rng, max_steps: int, visit):
         cum = walk.sample(rng, pos.size * c).reshape(pos.size, c)
         np.cumsum(cum, axis=1, out=cum)
         cum += pos[:, None]
-        keep = visit(t, cum)
+        pos = visit(t, cum)
         t += c
-        pos = cum[keep, -1]
     return t, pos
 
 
@@ -266,7 +266,7 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
                 reasons[idx] = StoppingReason.HIT_ABOVE.value
         go = ~any_hit
         active = active[go]
-        return go
+        return cum[go, -1]
 
     t, pos = _walk_chunks(walk, starts[active], rng, max_steps, visit)
     reasons[active] = StoppingReason.MAX_STEPS.value
@@ -354,9 +354,12 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
     ``method`` "VisitCount" counts visits directly on walks run to tau_star
     (weak first nonnegative time, j >= 1); "LadderDuality" builds the renewal
     count 1 + #{n: H_1^- + ... + H_n^- <= x} from strict descending ladder
-    heights.  Both require drift >= 0; recurrent zero-drift walks are capped
-    at max_steps per replica with the truncated fraction reported (their
-    partial counts bias R downward, which the duality cross-check bounds).
+    heights.  Both require drift >= 0 and cap each replica at max_steps,
+    reporting the truncated fraction.  VisitCount restarts a skip-free-up
+    walk that ends a chunk below the grid at the grid's lowest lattice point,
+    where it is bound to return, so no excursion below the grid runs into the
+    cap.  Other recurrent zero-drift walks do run into it, and their partial
+    counts bias R downward, which the duality cross-check bounds.
     """
     if walk.drift_sign < 0:
         raise ValueError("renewal function needs drift >= 0 (star or plus tilt)")
@@ -371,6 +374,16 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
 def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
     x_max = grid[-1]
+    # A skip-free-up walk (drift >= 0 here) that ends a chunk below the
+    # window climbs back through every lattice point on its way to 0, so it
+    # next visits the window at its floor: restart it there and count that
+    # visit.  With no lattice point in the window the floor is 0 itself, the
+    # return that ends the row.  Restarts wait for a chunk's end: inside a
+    # chunk the raw path already counts its return.
+    window_floor = None
+    if walk.skip_free_up:
+        window_floor = -walk.span * math.floor(x_max / walk.span + 1e-9)
+        floor_bin = np.searchsorted(grid, -window_floor)
 
     def block_hist(b):
         hist = np.zeros((b, G + 1), np.int64)
@@ -392,7 +405,15 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
                 hist += np.bincount(keys, minlength=hist.size).reshape(hist.shape)
             go = ~any_done
             rows = rows[go]
-            return go
+            pos = cum[go, -1]
+            if window_floor is not None:
+                below = pos < -x_max
+                if window_floor < 0:
+                    hist[rows[below], floor_bin] += 1
+                    pos[below] = window_floor
+                else:
+                    rows, pos = rows[~below], pos[~below]
+            return pos
 
         _walk_chunks(walk, np.zeros(b), rng, max_steps, visit)
         return hist, rows.size
@@ -465,15 +486,24 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
                  max_steps: int = 10 ** 6) -> EstimateWithCI:
     """The renewal-limit constant C_R = lim R(x)/R-growth-unit.
 
-    Critical tilt: 1/E[-S at first passage below 0] (mean undershoot from 0).
-    Drift-up tilt: 1/P(never below 0), certified by a Cramer cutoff.  The
-    returned extra dict carries the first-passage consistency probe
-    C_R * t * P(up before down) (critical) or C_R * P(up before down)
-    (drift-up), both of which approach 1.
+    Critical tilt: 1/E[-S at first passage below 0] (mean undershoot from 0),
+    exactly 1/span for a skip-free-down lattice walk, whose undershoot is
+    always one span (method "exact", no undershoot drawn); Monte Carlo
+    otherwise (method "undershoot").  Drift-up tilt: 1/P(never below 0),
+    certified by a Cramer cutoff (method "survival").  The returned extra
+    dict carries the first-passage consistency probe C_R * t * P(up before
+    down) (critical) or C_R * P(up before down) (drift-up), both of which
+    approach 1; the probe is always Monte Carlo.  ``truncated_fraction`` is
+    the larger of the passages' truncated fractions, the probe's included.
     """
     if walk.drift_sign < 0:
         raise ValueError("C_R defined for drift >= 0 tilts")
-    if walk.drift_sign == 0:
+    cert = 0.0
+    if walk.drift_sign == 0 and walk.skip_free_down:
+        est = EstimateWithCI(value=1.0 / walk.span, stderr=0.0,
+                             n_effective=math.inf)
+        method = "exact"
+    elif walk.drift_sign == 0:
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
                                lower=0.0, upper=None, max_steps=max_steps)
         under = ens.undershoots()
@@ -483,7 +513,6 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
                              n_effective=float(under.size),
                              truncated_fraction=ens.truncated_fraction)
         method = "undershoot"
-        cert = 0.0
     else:
         cutoff, cert = cramer_cutoff(walk.step)
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
@@ -497,6 +526,8 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
     probe = passage_ensemble(walk, 0.0, n_replicas, rng,
                              lower=0.0, upper=probe_t, max_steps=max_steps)
     p_probe = probe.p_hit_upper()
+    est.truncated_fraction = max(est.truncated_fraction,
+                                 probe.truncated_fraction)
     if walk.drift_sign == 0:
         product = est.value * probe_t * p_probe.value
     else:
@@ -605,7 +636,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
         alive = sig < n
         if not alive.all():
             orig, M, sig, ring = (a[alive] for a in (orig, M, sig, ring))
-        return alive
+        return cum[alive, -1]
 
     _walk_chunks(walk, np.zeros(n_replicas), rng, max_steps, visit)
     truncated[orig] = True

@@ -258,6 +258,18 @@ class TestSpine:
         rows = json.loads((tmp_path / "rep" / "summary.json").read_text())["rows"]
         assert {r["criterion"]: r["status"] for r in rows}[8] == "PASS"
 
+    def test_renewal_table_truncation_is_recorded(self, tmp_path):
+        # 5 of the table's 500 ladder walks at seed 4 run into the step cap
+        code = run_cli("spine", "--model", "critical-gaussian", "--t", 2,
+                       "--replicas", 300, "--renewal-grid", "0:10:0.5",
+                       "--renewal-replicas", 500, "--seed", 4,
+                       "--out", tmp_path / "sp")
+        assert code == 0
+        s = json.loads((tmp_path / "sp" / "summary.json").read_text())
+        man = json.loads((tmp_path / "sp" / "MANIFEST.json").read_text())
+        assert s["renewal_truncated_fraction"] == 0.01
+        assert man["truncation"] == {"renewal": 0.01, "spine": 0.0}
+
     def test_continuous_model_needs_renewal_grid(self, tmp_path, capsys):
         escaping = models.model_to_json(models.IidModel(
             models.FixedOffspring(2), models.TwoPointStep(1.0, -1.0, 0.5)))

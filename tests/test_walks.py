@@ -185,8 +185,7 @@ class TestRenewal:
         est = walks.renewal_function(ssrw, self.GRID, 20_000, rng,
                                      method="VisitCount", max_steps=10 ** 6)
         exact = np.floor(self.GRID) + 1.0
-        # 0.05 covers the downward truncation bias at this step cap
-        assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr + 0.05)
+        assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr)
         assert est.values[0] == 1.0 and est.stderr[0] == 0.0
 
     def test_duality_exact_for_skip_free_down(self, ssrw):
@@ -273,6 +272,38 @@ class TestSkipFree:
         with pytest.raises(ValueError, match="span steps only"):
             walks.closed_form_renewal(walk, self.GRID)
 
+    @pytest.mark.parametrize("values, probs, exact", [
+        # R(x) = 8/9 + 2x/3 + (-1/2)^x/9 solves the recurrence of the walk
+        # killed at 0 with roots 1 (double) and -1/2, and R(0) = 1
+        ([-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0],
+         lambda x: 8.0 / 9.0 + 2.0 * x / 3.0 + (-0.5) ** x / 9.0),
+        ([-1.0, 1.0], [0.5, 0.5], lambda x: np.floor(x) + 1.0),
+    ], ids=["up-only", "simple"])
+    def test_visit_count_restarts_at_the_window_floor(self, values, probs, exact):
+        walk = zero_drift_lattice_walk(values, probs)
+        assert walk.skip_free_up
+        # a walk below the grid restarts at its floor, -6: no walk runs into
+        # the step cap, so nothing biases the counts
+        est = walks.renewal_function(walk, self.GRID, 100_000,
+                                     np.random.default_rng(217),
+                                     method="VisitCount")
+        assert est.truncated_fraction == 0.0
+        assert np.all(np.abs(est.values - exact(self.GRID)) <= 4.0 * est.stderr)
+
+    @pytest.mark.parametrize("top, max_steps", [(0.5, 64), (1.0, 10 ** 6)])
+    def test_visit_count_narrow_window(self, ssrw, top, max_steps):
+        # below span the window holds no lattice point and a walk that
+        # leaves it has only its return to 0 left; at one span nearly every
+        # walk that ends a chunk outside restarts, and each restart counts
+        # its arrival at -1
+        grid = np.array([0.0, top])
+        est = walks.renewal_function(ssrw, grid, 20_000,
+                                     np.random.default_rng(218),
+                                     method="VisitCount", max_steps=max_steps)
+        assert est.truncated_fraction == 0.0
+        exact = np.floor(grid) + 1.0
+        assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr)
+
     def test_continuous_walk_is_neither(self, gauss_walk):
         assert not gauss_walk.skip_free_down and not gauss_walk.skip_free_up
 
@@ -311,9 +342,18 @@ class TestConstantCR:
         rng = np.random.default_rng(310)
         est = walks.estimate_C_R(ssrw, 20_000, rng, max_steps=10 ** 5)
         assert est.value == 1.0 and est.stderr == 0.0
+        assert est.extra["method"] == "exact"
         # probe product C_R * t * P(up before down) = (t)/(t+2) at finite t
         t = est.extra["probe_t"]
         assert abs(est.extra["probe_product"] - t / (t + 2.0)) < 0.05
+
+    def test_probe_truncation_is_reported(self, ssrw):
+        # C_R is exact here, so every truncated walk is the probe's: about
+        # one in five stays within [0, 50] for 16 steps
+        est = walks.estimate_C_R(ssrw, 1_000, np.random.default_rng(314),
+                                 max_steps=16)
+        assert est.extra["method"] == "exact"
+        assert 0.1 < est.truncated_fraction < 0.3
 
     def test_two_point_plus(self, plus_walk):
         rng = np.random.default_rng(311)
@@ -325,7 +365,11 @@ class TestConstantCR:
     def test_gaussian_critical_probe(self, gauss_walk):
         rng = np.random.default_rng(312)
         est = walks.estimate_C_R(gauss_walk, 30_000, rng, max_steps=10 ** 5)
-        assert est.value > 0.0
+        # E[H-] = sigma/sqrt(2) for N(0, sigma^2) steps, so C_R = sqrt(2)/sigma
+        sigma = math.sqrt(gauss_walk.variance)
+        assert est.extra["method"] == "undershoot"
+        assert est.within(math.sqrt(2.0) / sigma, 4.0)
+        assert est.truncated_fraction < 0.01
         assert abs(est.extra["probe_product"] - 1.0) < 0.10
 
     def test_negative_drift_rejected(self, minus_walk):
