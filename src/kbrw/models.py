@@ -311,10 +311,13 @@ class IidModel(_ModelBase):
         return self.step.support()
 
     def spawn(self, rng: np.random.Generator, n: int):
-        """Children of n particles: (litter sizes, flat parent index, displacements)."""
+        """Children of n particles: (litter sizes, displacements).
+
+        The displacements run litter by litter in parent order, so
+        np.repeat(parent_values, nu) lines up with them.
+        """
         nu = self.nu.sample(rng, n).astype(np.int64)
-        parent = np.repeat(np.arange(n), nu)
-        return nu, parent, self.step.sample(rng, int(nu.sum()))
+        return nu, self.step.sample(rng, int(nu.sum()))
 
     def tilted_step(self, rho: float):
         """Step law of the spine walk: the displacement law tilted by e^{rho z}."""
@@ -368,15 +371,14 @@ class PatternModel(_ModelBase):
         return _inverse_cdf(self._cdf, rng.random(n))
 
     def spawn(self, rng: np.random.Generator, n: int):
-        """Children of n particles: (litter sizes, flat parent index, displacements).
+        """Children of n particles: (litter sizes, displacements).
 
         Each parent draws one atom and its children take that pattern's
-        displacements in order.
+        displacements in order, litter by litter in parent order.
         """
         atom = self.sample_atom(rng, n)
         nu = self._sizes[atom]
-        parent = np.repeat(np.arange(n), nu)
-        return nu, parent, _take_runs(self._flat, self._offsets[atom], nu)
+        return nu, _take_runs(self._flat, self._offsets[atom], nu)
 
     def tilted_step(self, rho: float) -> FiniteStep:
         """Step law of the spine walk: the pattern intensity tilted by e^{rho z}.

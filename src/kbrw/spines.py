@@ -273,7 +273,8 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         # shift the band floor to the killing barrier so the forest engine
         # abandons strip escapees for us; leaf counts certify what it cost
         forest = trees.simulate_killed_forest(model, roots_pos - L, [t - L],
-                                              roots_pos.size, rng)
+                                              roots_pos.size, rng,
+                                              skip=("Y", "max_position"))
         ids, vals = forest.overshoots[float(t - L)]
         if ids.size:
             v = t + vals

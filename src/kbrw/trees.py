@@ -2,8 +2,11 @@
 
 The forest engine runs many replica trees at once on flat numpy arrays: one
 frontier of (position, tree id, probe bitmask) rows, expanded a generation at
-a time with repeat/bincount bookkeeping.  Trees are never materialized beyond
-the frontier.
+a time.  Trees are never materialized beyond the frontier.  The frontier's
+tree ids stay sorted (roots are 0..n-1, children repeat their parent's id in
+parent order, and every filter keeps order), so each tree's rows form one
+run and every per-tree tally is a run tally costing O(frontier), not
+O(n_replicas), per generation.
 
 Conventions: a child born strictly below 0 is killed on the spot and counted
 as a leaf of the barrier line; a child at exactly 0 survives.  Crossing a
@@ -24,9 +27,10 @@ from .models import Regime
 from .walks import make_tilted_walk
 
 LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
+SKIPPABLE = frozenset({"Y", "max_position"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimCaps:
     max_particles: int = 10 ** 7    # births per tree, alive or killed
     max_generations: int = 10 ** 5
@@ -37,9 +41,9 @@ class ForestResult:
     probe_levels: np.ndarray
     Z: np.ndarray
     leaves: np.ndarray
-    Y: np.ndarray
+    Y: np.ndarray | None     # None when skipped
     H: np.ndarray            # (n_levels, n_replicas)
-    max_position: np.ndarray
+    max_position: np.ndarray | None    # None when skipped
     truncated: np.ndarray
     generations: np.ndarray
     overshoots: dict         # level -> (tree ids, overshoot values)
@@ -53,14 +57,37 @@ class ForestResult:
         return float(self.truncated.mean())
 
 
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of sorted ids and the index where each one's run starts."""
+    head = np.empty(ids.size, bool)
+    head[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return ids[starts], starts
+
+
+def _tally(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of sorted ids and how often each occurs."""
+    uniq, starts = _runs(ids)
+    return uniq, np.diff(starts, append=ids.size)
+
+
 def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
-                           caps: SimCaps = SimCaps()) -> ForestResult:
+                           caps: SimCaps = SimCaps(), *,
+                           skip: tuple[str, ...] = ()) -> ForestResult:
     """n_replicas independent killed trees from x, reduced to counters.
 
     x is a single start height or one per replica.  Exceeding a cap marks the
     tree truncated and freezes its partial counts; nothing is dropped
     silently.  Starts and probe_levels must be finite, and the levels must
     lie above every start.
+
+    skip names counters the caller does not read, out of SKIPPABLE: "Y" and
+    "max_position".  A skipped field is None.  The spine's off-spine forest
+    skips both.  Skipping changes no draw and no other field.
+
+    Z, leaves and Y are each booked from their own observation (alive
+    children, dead children, litter sizes), never one from another.
     """
     xarr = np.broadcast_to(np.asarray(x, float), (n_replicas,))
     levels = np.sort(np.asarray(probe_levels, float))
@@ -75,68 +102,85 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         raise ValueError("at most 8 probe levels (bitmask bookkeeping)")
     if levels.size and np.any(levels < xarr.max()):
         raise ValueError("probe levels must not lie below a start position")
+    if not SKIPPABLE.issuperset(skip):
+        raise ValueError(f"only {sorted(SKIPPABLE)} can be skipped")
     nl = levels.size
     top = levels[-1] if nl else math.inf
 
     Z = np.ones(n_replicas, np.int64)
     leaves = np.zeros(n_replicas, np.int64)
-    Y = np.ones(n_replicas, np.int64)
+    Y = None if "Y" in skip else np.ones(n_replicas, np.int64)
     births = np.ones(n_replicas, np.int64)
     H = np.zeros((nl, n_replicas), np.int64)
-    max_pos = xarr.astype(float).copy()
+    max_pos = None if "max_position" in skip else xarr.astype(float)
     truncated = np.zeros(n_replicas, bool)
     gen_last = np.zeros(n_replicas, np.int64)
     over_ids = [[] for _ in range(nl)]
     over_vals = [[] for _ in range(nl)]
 
-    fpos = xarr.astype(float).copy()
+    fpos = xarr.astype(float)
     ftree = np.arange(n_replicas, dtype=np.int64)
-    fmask = np.zeros(n_replicas, np.uint8)
+    # the top level's bit is never set on the frontier, so one level needs no mask
+    fmask = np.zeros(n_replicas, np.uint8) if nl > 1 else None
+    # the frontier's trees, where each one's run of rows starts, and its length
+    live, starts, rows = ftree, ftree, np.ones(n_replicas, np.int64)
     g = 0
     while ftree.size and g < caps.max_generations:
         g += 1
-        nu, parent, disp = model.spawn(rng, fpos.size)
-        incoming = np.bincount(ftree, weights=nu, minlength=n_replicas)
-        over_budget = births + incoming.astype(np.int64) > caps.max_particles
+        nu, disp = model.spawn(rng, fpos.size)
+        litter = np.add.reduceat(nu, starts)
+        over_budget = births[live] + litter > caps.max_particles
         if over_budget.any():
             # freeze over-budget trees before this generation is booked
-            truncated |= over_budget
-            keep_row = ~over_budget[ftree]
-            child_keep = keep_row[parent]
-            remap = np.cumsum(keep_row) - 1
-            parent = remap[parent[child_keep]]
-            disp = disp[child_keep]
-            nu = nu[keep_row]
-            fpos, ftree, fmask = fpos[keep_row], ftree[keep_row], fmask[keep_row]
-        if ftree.size == 0:
-            break
-        births += np.bincount(ftree, weights=nu, minlength=n_replicas).astype(np.int64)
-        Y += np.bincount(ftree, weights=nu - 1, minlength=n_replicas).astype(np.int64)
-        gen_last[ftree] = g
+            truncated[live[over_budget]] = True
+            keep = np.repeat(~over_budget, rows)
+            disp = disp[np.repeat(keep, nu)]
+            nu, fpos, ftree = nu[keep], fpos[keep], ftree[keep]
+            if fmask is not None:
+                fmask = fmask[keep]
+            within = ~over_budget
+            live, litter, rows = live[within], litter[within], rows[within]
+            if ftree.size == 0:
+                break
+        births[live] += litter
+        if Y is not None:
+            Y[live] += litter - rows
+        gen_last[live] = g
 
-        cpos = fpos[parent] + disp
-        ctree = ftree[parent]
-        cmask = fmask[parent]
-
-        dead = cpos < 0.0
-        if dead.any():
-            leaves += np.bincount(ctree[dead], minlength=n_replicas)
-
-        alive = ~dead
-        cpos, ctree, cmask = cpos[alive], ctree[alive], cmask[alive]
-        if cpos.size:
-            Z += np.bincount(ctree, minlength=n_replicas)
-            np.maximum.at(max_pos, ctree, cpos)
-            for k in range(nl):
+        cpos = np.repeat(fpos, nu)
+        cpos += disp
+        ctree = np.repeat(ftree, nu)
+        cmask = np.repeat(fmask, nu) if fmask is not None else None
+        del fpos, ftree, fmask, nu, disp     # spent parents: freed to lower the peak
+        dead_trees, dead = _tally(ctree.take(np.flatnonzero(cpos < 0.0)))
+        leaves[dead_trees] += dead
+        if max_pos is not None and cpos.size:
+            # each tree's children are one run; a dead child is below every start
+            has = litter > 0
+            first = (np.cumsum(litter) - litter)[has]
+            bred = live[has]
+            max_pos[bred] = np.maximum(max_pos[bred], np.maximum.reduceat(cpos, first))
+        for k in range(nl):
+            if k == nl - 1:
+                hit = np.flatnonzero(cpos > top)
+            else:
                 bit = np.uint8(1 << k)
-                nc = (cpos > levels[k]) & ((cmask & bit) == 0)
-                if nc.any():
-                    H[k] += np.bincount(ctree[nc], minlength=n_replicas)
-                    over_ids[k].append(ctree[nc].copy())
-                    over_vals[k].append(cpos[nc] - levels[k])
-                    cmask[nc] |= bit
-        cont = cpos <= top
-        fpos, ftree, fmask = cpos[cont], ctree[cont], cmask[cont]
+                hit = np.flatnonzero((cpos > levels[k]) & ((cmask & bit) == 0))
+                cmask[hit] |= bit
+            if hit.size:
+                ids = ctree.take(hit)
+                crossed, count = _tally(ids)
+                H[k, crossed] += count
+                if k == nl - 1:
+                    Z[crossed] += count          # alive, but not continued
+                over_ids[k].append(ids)
+                over_vals[k].append(cpos.take(hit) - levels[k])
+        nxt = np.flatnonzero((cpos >= 0.0) & (cpos <= top))
+        fpos, ftree = cpos.take(nxt), ctree.take(nxt)
+        fmask = cmask.take(nxt) if cmask is not None else None
+        live, starts = _runs(ftree)
+        rows = np.diff(starts, append=ftree.size)
+        Z[live] += rows
     truncated[ftree] = True
 
     overshoots = {}
@@ -201,7 +245,6 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
     W = np.zeros((n_replicas, n_max + 1))
     dW = np.zeros((n_replicas, n_max + 1))
     Mm = np.zeros((n_replicas, n_max + 1)) if rho_minus is not None else None
-    extinct = np.zeros(n_replicas, bool)
     truncated = np.zeros(n_replicas, bool)
     credW = np.zeros(n_replicas)
     creddW = np.zeros(n_replicas)
@@ -224,11 +267,11 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
         if g == n_max or tree.size == 0:
             break
 
-        nu, parent, disp = model.spawn(rng, pos.size)
+        nu, disp = model.spawn(rng, pos.size)
         incoming = np.bincount(tree, weights=nu, minlength=n_replicas)
         over = births + incoming.astype(np.int64) > max_particles
-        cpos = pos[parent] + disp
-        ctree = tree[parent]
+        cpos = np.repeat(pos, nu) + disp
+        ctree = np.repeat(tree, nu)
         lead = np.exp(rho_ref * cpos)
         total_mass += float(lead.sum())
         drop = (lead < prune_eps) | over[ctree]
@@ -290,9 +333,9 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
         g = 0
         while tree.size and g < max_generations:
             g += 1
-            _, parent, disp = model.spawn(rng, pos.size)
-            cpos = pos[parent] + disp
-            ctree = tree[parent]
+            nu, disp = model.spawn(rng, pos.size)
+            cpos = np.repeat(pos, nu) + disp
+            ctree = np.repeat(tree, nu)
             w = np.exp(rho * cpos)
             crossed = cpos > t
             if crossed.any():

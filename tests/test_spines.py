@@ -193,7 +193,8 @@ class TestSurvival:
         # estimate's truncated fraction, which the spine command reports
         forest = trees.simulate_killed_forest
         monkeypatch.setattr(trees, "simulate_killed_forest",
-                            lambda *a: forest(*a, trees.SimCaps(max_particles=4)))
+                            lambda *a, **k: forest(*a, trees.SimCaps(max_particles=4),
+                                                   **k))
         est = spines.estimate_survival_spine(model_c, 0.0, 6.0, 500,
                                              rng_for_block(406, 1), band_eps=0.0)
         assert est.truncated_fraction > 0.0

@@ -1,5 +1,7 @@
 """Forest engine: progeny counts, probe bookkeeping, martingale means."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -60,6 +62,150 @@ def scripted_counts(model, x, disps):
     f = trees.simulate_killed_forest(model, x, [], 1,
                                      ScriptedRng(disps, model.step.mu))
     return int(f.Z[0]), int(f.leaves[0]), int(f.Y[0])
+
+
+def digest(*parts) -> str:
+    """sha256 over arrays (dtype and raw bytes) and JSON of anything else."""
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            h.update(p.dtype.str.encode())
+            h.update(np.ascontiguousarray(p).tobytes())
+        else:
+            h.update(json.dumps(p, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def forest_digest(f, rng) -> str:
+    over = [a for level in f.probe_levels for a in f.overshoots[float(level)]]
+    return digest(f.probe_levels, f.Z, f.leaves, f.Y, f.H, f.max_position,
+                  f.truncated, f.generations, *over, rng.bit_generator.state)
+
+
+def dying_model():
+    # zero-child litters: 0 or 3 offspring, subcritical
+    return models.IidModel(models.PmfOffspring([0, 3], [0.4, 0.6]),
+                           models.GaussianStep(-1.2, 1.0))
+
+
+def spine_shaped():
+    starts = np.random.default_rng(5).uniform(0.0, 3.0, 3000)
+    return models.critical_binary_gaussian(), starts, [4.0], 3000, trees.SimCaps()
+
+
+def lattice_levels():
+    return models.critical_lattice_binary(), 0.0, [1.0, 2.0, 3.0], 5000, trees.SimCaps()
+
+
+def both_caps():
+    # about 1% of trees truncated, by both the particle and generation caps
+    caps = trees.SimCaps(max_particles=80, max_generations=10)
+    return models.critical_lattice_binary(), 0.0, [3.0, 6.0], 5000, caps
+
+
+def zero_litters():
+    return dying_model(), 0.5, [1.0, 2.5], 5000, trees.SimCaps()
+
+
+def pattern_model():
+    # the spine tests' pattern: one child down, or an up-down pair
+    model = models.PatternModel([(0.75, (-1.0,)), (0.25, (1.0, -1.0))])
+    return model, 0.0, [2.0], 20_000, trees.SimCaps()
+
+
+# (case, block, sha256) computed by the repeat/bincount engine of kbrw 0.2.0
+FOREST_DIGESTS = [
+    (spine_shaped, 0,
+     "45f585b9657c8cd9183fa1a9bfb641e05f927310081c8435905bc57ff129d671"),
+    (lattice_levels, 1,
+     "ab41fdc16b488ab0cfc364c2f8a0f1ec96d165cb06eeb576d6d0c6262c0aff68"),
+    (both_caps, 2,
+     "59b964b4ecbbb336a8cf4280e973dd887b173a60e31000ceb0afe2ec026252fa"),
+    (zero_litters, 3,
+     "97ebb335b86c5e32ae9aab74987635c9d51c4a68840a2c75b1391917b37a8ccc"),
+    (pattern_model, 4,
+     "32bf2a00d52fe6ec1a97a77c95f360e514a6716bf521f3a938a4c5b4bd9892ea"),
+]
+
+
+class TestSameBytes:
+    """Every output byte and the generator's final state, pinned."""
+
+    @pytest.mark.parametrize("case, block, expected", FOREST_DIGESTS,
+                             ids=[c[0].__name__ for c in FOREST_DIGESTS])
+    def test_forest(self, case, block, expected):
+        model, x, levels, n, caps = case()
+        rng = rng_for_block(310, block)
+        f = trees.simulate_killed_forest(model, x, levels, n, rng, caps)
+        assert forest_digest(f, rng) == expected
+
+    def test_skipped_counters_change_nothing_else(self):
+        model, x, levels, n, caps = spine_shaped()
+        full_rng, lean_rng = rng_for_block(310, 0), rng_for_block(310, 0)
+        full = trees.simulate_killed_forest(model, x, levels, n, full_rng, caps)
+        lean = trees.simulate_killed_forest(model, x, levels, n, lean_rng, caps,
+                                            skip=("Y", "max_position"))
+        assert lean.Y is None and lean.max_position is None
+        for name in ("Z", "leaves", "H", "truncated", "generations"):
+            assert np.array_equal(getattr(lean, name), getattr(full, name))
+        for got, want in zip(lean.overshoots[4.0], full.overshoots[4.0]):
+            assert np.array_equal(got, want)
+        assert lean_rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_rejects_unknown_skip(self, model_c):
+        with pytest.raises(ValueError, match="skipped"):
+            trees.simulate_killed_forest(model_c, 0.0, [], 10,
+                                         rng_for_block(310, 5), skip=("Z",))
+
+    def test_martingale_levels(self, gauss):
+        got = []
+        for block, (model, kw) in enumerate(
+                [(gauss, dict(prune_eps=0.5, freeze_above=3.0)),
+                 (dying_model(), dict(prune_eps=1e-12, max_particles=200))]):
+            rng = rng_for_block(311, block)
+            fl = trees.martingale_levels(model, 0.3, 6, 3000, rng, **kw)
+            m = fl.M if fl.M is not None else np.empty(0)
+            got.append(digest(fl.W, fl.dW, m, fl.extinct, fl.truncated,
+                              fl.pruned_mass_fraction, rng.bit_generator.state))
+        assert got == [
+            "3edae58ed78a48fa5f30500b74a6b29c18d993cb374a009263e3643d80f3b539",
+            "ac5c022df51cf26df4d9515097cc50bc9d3e585f47b953322179f5258624b137"]
+
+    def test_stopped_line_tilted_mass(self, model_c, two_point):
+        got = []
+        for block, model in enumerate([model_c, two_point]):
+            rng = rng_for_block(312, block)
+            # 6000 replicas take two LINE_BLOCK passes
+            est = trees.stopped_line_tilted_mass(model, 0.0, 3.0, 6000, rng)
+            got.append(digest(est.value, est.stderr,
+                              est.extra["credited_fraction"],
+                              rng.bit_generator.state))
+        assert got == [
+            "bbd9447500057fb05c4c3d28d1aaf58d8727096cb7768f0520d3a4497348e65b",
+            "abfe0dff3f9f04ef6eb6c2577a2e8b10c5e6d98110998abe5bd1b94a1eea2e62"]
+
+
+class TestRuns:
+    def test_empty(self):
+        uniq, starts = trees._runs(np.empty(0, np.int64))
+        assert uniq.size == 0 and starts.size == 0
+
+    def test_one_run(self):
+        uniq, starts = trees._runs(np.full(5, 7, np.int64))
+        assert uniq.tolist() == [7] and starts.tolist() == [0]
+
+    def test_all_distinct(self):
+        uniq, count = trees._tally(np.array([0, 3, 4, 9], np.int64))
+        assert uniq.tolist() == [0, 3, 4, 9] and count.tolist() == [1, 1, 1, 1]
+
+    def test_mixed_runs(self):
+        uniq, count = trees._tally(np.array([1, 1, 2, 5, 5, 5], np.int64))
+        assert uniq.tolist() == [1, 2, 5] and count.tolist() == [2, 1, 3]
+
+
+def test_default_caps_are_frozen():
+    with pytest.raises(AttributeError):
+        trees.SimCaps().max_particles = 1
 
 
 class TestForestCounts:
@@ -183,9 +329,7 @@ class TestMartingales:
     def test_extinct_trees_hold_zero(self):
         # the free tree only dies if nu = 0 has mass; 0-or-3 offspring dies
         # with probability about 0.45
-        dying = models.IidModel(models.PmfOffspring([0, 3], [0.4, 0.6]),
-                                models.GaussianStep(-1.2, 1.0))
-        flow = trees.martingale_levels(dying, 0.0, 10, 20_000,
+        flow = trees.martingale_levels(dying_model(), 0.0, 10, 20_000,
                                        rng_for_block(305, 4), prune_eps=1e-12)
         assert 0.3 < flow.extinct.mean() < 0.6
         assert np.all(flow.W[flow.extinct, 10] == 0.0)
