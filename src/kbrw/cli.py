@@ -247,15 +247,15 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
     run = Run("simulate", _model_doc(model), flags, seed, args.out)
 
-    Z, leaves, Y, trunc, gens, maxpos = (
+    Z, leaves, Y, trunc, gens = (
         np.concatenate([getattr(f, k) for f in parts])
-        for k in ("Z", "leaves", "Y", "truncated", "generations", "max_position"))
+        for k in ("Z", "leaves", "Y", "truncated", "generations"))
     H = np.concatenate([f.H for f in parts], axis=1)
 
-    header = ["replica", "Z", "leaves", "Y", "truncated", "generations",
-              "max_position"] + [f"H_{_fmt_level(t)}" for t in levels]
+    header = ["replica", "Z", "leaves", "Y", "truncated", "generations"] \
+        + [f"H_{_fmt_level(t)}" for t in levels]
     run.write_csv("records.csv", header,
-                  [np.arange(n), Z, leaves, Y, trunc, gens, maxpos, *H])
+                  [np.arange(n), Z, leaves, Y, trunc, gens, *H])
 
     # the identity between the exploration count and the leaf count holds
     # for fully explored trees only: crossers freeze at the top probe level,

@@ -70,6 +70,8 @@ def _intensity(model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _to_grid(value: float, span: float, what: str) -> int:
+    if not math.isfinite(value):
+        raise ValueError(f"{what}={value} is not finite")
     k = value / span
     if abs(k - round(k)) > 1e-9:
         raise ValueError(f"{what}={value} is not on the lattice with span {span}")
@@ -117,6 +119,8 @@ def tree_expectations(model, x: float, depth: int, *, barrier: bool = True,
     x_idx = _to_grid(x, span, "start")
     lvl_idx = None
     if level is not None:
+        if not math.isfinite(level):
+            raise ValueError(f"level={level} is not finite")
         # crossing is strict: position index > level/span
         lvl = level / span
         lvl_idx = math.floor(lvl + 1e-9)

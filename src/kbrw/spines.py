@@ -213,7 +213,10 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         from .walks import closed_form_renewal
         if tw.span is None:
             raise ValueError("continuous models need an explicit renewal table")
-        grid = np.arange(0.0, t + 4 * tw.span, tw.span)
+        # on the start's coset, where the spine and its siblings live: R is
+        # a step function, which interpolation between cosets would misread
+        off = max(0.0, x - tw.span * math.floor(x / tw.span + 1e-9))
+        grid = np.arange(off, t + 4 * tw.span, tw.span)
         renewal = closed_form_renewal(tw, grid)
     R = renewal.evaluate
     rep = tilted_reproduction(model, rho)
@@ -273,9 +276,8 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         # shift the band floor to the killing barrier so the forest engine
         # abandons strip escapees for us; leaf counts certify what it cost
         forest = trees.simulate_killed_forest(model, roots_pos - L, [t - L],
-                                              roots_pos.size, rng,
-                                              skip=("Y", "max_position"))
-        ids, vals = forest.overshoots[float(t - L)]
+                                              roots_pos.size, rng)
+        ids, vals = forest.overshoots
         if ids.size:
             v = t + vals
             Mstar += np.bincount(roots_rep[ids], weights=R(v) * np.exp(rho * v),

@@ -27,7 +27,6 @@ from .models import Regime
 from .walks import make_tilted_walk
 
 LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
-SKIPPABLE = frozenset({"Y", "max_position"})
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,11 @@ class ForestResult:
     probe_levels: np.ndarray
     Z: np.ndarray
     leaves: np.ndarray
-    Y: np.ndarray | None     # None when skipped
+    Y: np.ndarray
     H: np.ndarray            # (n_levels, n_replicas)
-    max_position: np.ndarray | None    # None when skipped
     truncated: np.ndarray
     generations: np.ndarray
-    overshoots: dict         # level -> (tree ids, overshoot values)
+    overshoots: tuple        # top level's (tree ids, overshoot values)
 
     @property
     def n_replicas(self) -> int:
@@ -73,18 +71,14 @@ def _tally(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
-                           caps: SimCaps = SimCaps(), *,
-                           skip: tuple[str, ...] = ()) -> ForestResult:
+                           caps: SimCaps = SimCaps()) -> ForestResult:
     """n_replicas independent killed trees from x, reduced to counters.
 
     x is a single start height or one per replica.  Exceeding a cap marks the
     tree truncated and freezes its partial counts; nothing is dropped
     silently.  Starts and probe_levels must be finite, and the levels must
-    lie above every start.
-
-    skip names counters the caller does not read, out of SKIPPABLE: "Y" and
-    "max_position".  A skipped field is None.  The spine's off-spine forest
-    skips both.  Skipping changes no draw and no other field.
+    lie above every start.  Overshoots are booked at the top level only, in
+    crossing order; with no level both arrays are empty.
 
     Z, leaves and Y are each booked from their own observation (alive
     children, dead children, litter sizes), never one from another.
@@ -102,21 +96,17 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         raise ValueError("at most 8 probe levels (bitmask bookkeeping)")
     if levels.size and np.any(levels < xarr.max()):
         raise ValueError("probe levels must not lie below a start position")
-    if not SKIPPABLE.issuperset(skip):
-        raise ValueError(f"only {sorted(SKIPPABLE)} can be skipped")
     nl = levels.size
     top = levels[-1] if nl else math.inf
 
     Z = np.ones(n_replicas, np.int64)
     leaves = np.zeros(n_replicas, np.int64)
-    Y = None if "Y" in skip else np.ones(n_replicas, np.int64)
+    Y = np.ones(n_replicas, np.int64)
     births = np.ones(n_replicas, np.int64)
     H = np.zeros((nl, n_replicas), np.int64)
-    max_pos = None if "max_position" in skip else xarr.astype(float)
     truncated = np.zeros(n_replicas, bool)
     gen_last = np.zeros(n_replicas, np.int64)
-    over_ids = [[] for _ in range(nl)]
-    over_vals = [[] for _ in range(nl)]
+    over_ids, over_vals = [], []
 
     fpos = xarr.astype(float)
     ftree = np.arange(n_replicas, dtype=np.int64)
@@ -143,8 +133,7 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
             if ftree.size == 0:
                 break
         births[live] += litter
-        if Y is not None:
-            Y[live] += litter - rows
+        Y[live] += litter - rows
         gen_last[live] = g
 
         cpos = np.repeat(fpos, nu)
@@ -154,12 +143,6 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         del fpos, ftree, fmask, nu, disp     # spent parents: freed to lower the peak
         dead_trees, dead = _tally(ctree.take(np.flatnonzero(cpos < 0.0)))
         leaves[dead_trees] += dead
-        if max_pos is not None and cpos.size:
-            # each tree's children are one run; a dead child is below every start
-            has = litter > 0
-            first = (np.cumsum(litter) - litter)[has]
-            bred = live[has]
-            max_pos[bred] = np.maximum(max_pos[bred], np.maximum.reduceat(cpos, first))
         for k in range(nl):
             if k == nl - 1:
                 hit = np.flatnonzero(cpos > top)
@@ -173,8 +156,8 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
                 H[k, crossed] += count
                 if k == nl - 1:
                     Z[crossed] += count          # alive, but not continued
-                over_ids[k].append(ids)
-                over_vals[k].append(cpos.take(hit) - levels[k])
+                    over_ids.append(ids)
+                    over_vals.append(cpos.take(hit) - top)
         nxt = np.flatnonzero((cpos >= 0.0) & (cpos <= top))
         fpos, ftree = cpos.take(nxt), ctree.take(nxt)
         fmask = cmask.take(nxt) if cmask is not None else None
@@ -183,14 +166,11 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         Z[live] += rows
     truncated[ftree] = True
 
-    overshoots = {}
-    for k in range(nl):
-        ids = np.concatenate(over_ids[k]) if over_ids[k] else np.empty(0, np.int64)
-        vals = np.concatenate(over_vals[k]) if over_vals[k] else np.empty(0)
-        overshoots[float(levels[k])] = (ids, vals)
+    overshoots = (np.concatenate(over_ids) if over_ids else np.empty(0, np.int64),
+                  np.concatenate(over_vals) if over_vals else np.empty(0))
     return ForestResult(probe_levels=levels, Z=Z, leaves=leaves, Y=Y, H=H,
-                        max_position=max_pos, truncated=truncated,
-                        generations=gen_last, overshoots=overshoots)
+                        truncated=truncated, generations=gen_last,
+                        overshoots=overshoots)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ class TiltedWalk:
         return drift_sign(self.drift)
 
     @property
+    def position_tol(self) -> float:
+        """How far a summed position may sit from a lattice point and still
+        count as on it (a span like 0.1 rounds): 1e-9 span, 0 if continuous."""
+        return 0.0 if self.span is None else 1e-9 * self.span
+
+    @property
     def skip_free_down(self) -> bool:
         """Lowest step -span: every descending ladder height is one span."""
         return self.span is not None and \
@@ -219,22 +225,26 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
 
     ``x`` may be a scalar or an array of per-replica starts.  Barriers are
     strict on both sides; a replica that exhausts max_steps is reported as
-    MAX_STEPS, never silently dropped.
+    MAX_STEPS, never silently dropped.  On a lattice a position within
+    ``walk.position_tol`` of a barrier sits on it.
     """
     if lower is None and upper is None:
         raise ValueError("need at least one barrier")
+    tol = walk.position_tol
+    lo = None if lower is None else lower - tol
+    hi = None if upper is None else upper + tol
     starts = np.broadcast_to(np.asarray(x, float), (n_replicas,)).copy()
     reasons = np.zeros(n_replicas, np.int8)
     finals = np.empty(n_replicas)
     steps = np.zeros(n_replicas, np.int64)
 
     # immediate crossings (tau = inf{k >= 0}) resolve before any step
-    if upper is not None:
-        m = starts > upper
+    if hi is not None:
+        m = starts > hi
         reasons[m] = StoppingReason.HIT_ABOVE.value
         finals[m] = starts[m]
-    if lower is not None:
-        m = (reasons == 0) & (starts < lower)
+    if lo is not None:
+        m = (reasons == 0) & (starts < lo)
         reasons[m] = StoppingReason.HIT_BELOW.value
         finals[m] = starts[m]
 
@@ -243,10 +253,10 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
     def visit(t, cum):
         nonlocal active
         hit = np.zeros(cum.shape, bool)
-        if lower is not None:
-            hit |= cum < lower
-        if upper is not None:
-            hit |= cum > upper
+        if lo is not None:
+            hit |= cum < lo
+        if hi is not None:
+            hit |= cum > hi
         any_hit = hit.any(axis=1)
         stop = np.argmax(hit, axis=1)
 
@@ -256,14 +266,9 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
             fin = cum[done_rows, stop[done_rows]]
             finals[idx] = fin
             steps[idx] = t + stop[done_rows] + 1
-            if lower is not None and upper is not None:
-                below = fin < lower
-                reasons[idx] = np.where(below, StoppingReason.HIT_BELOW.value,
-                                        StoppingReason.HIT_ABOVE.value)
-            elif lower is not None:
-                reasons[idx] = StoppingReason.HIT_BELOW.value
-            else:
-                reasons[idx] = StoppingReason.HIT_ABOVE.value
+            below = fin < lo if lo is not None else False
+            reasons[idx] = np.where(below, StoppingReason.HIT_BELOW.value,
+                                    StoppingReason.HIT_ABOVE.value)
         go = ~any_hit
         active = active[go]
         return cum[go, -1]
@@ -374,6 +379,10 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
 def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
     x_max = grid[-1]
+    # a visit within tol of a lattice point is a visit to it
+    tol = walk.position_tol
+    grid_hi = grid + tol
+    x_lo = -x_max - tol
     # A skip-free-up walk (drift >= 0 here) that ends a chunk below the
     # window climbs back through every lattice point on its way to 0, so it
     # next visits the window at its floor: restart it there and count that
@@ -383,7 +392,7 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
     window_floor = None
     if walk.skip_free_up:
         window_floor = -walk.span * math.floor(x_max / walk.span + 1e-9)
-        floor_bin = np.searchsorted(grid, -window_floor)
+        floor_bin = np.searchsorted(grid_hi, -window_floor)
 
     def block_hist(b):
         hist = np.zeros((b, G + 1), np.int64)
@@ -392,22 +401,22 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
         def visit(t, cum):
             nonlocal hist, rows
             c = cum.shape[1]
-            done = cum >= 0.0
+            done = cum >= -tol
             any_done = done.any(axis=1)
             stop = np.where(any_done, np.argmax(done, axis=1), c)
             # count strictly-negative visits before the stop, within window
             live = np.arange(c)[None, :] < stop[:, None]
-            live &= cum >= -x_max
+            live &= cum >= x_lo
             ri, ci = np.nonzero(live)
             if ri.size:
-                bins = np.searchsorted(grid, -cum[ri, ci], side="left")
+                bins = np.searchsorted(grid_hi, -cum[ri, ci], side="left")
                 keys = rows[ri] * (G + 1) + bins
                 hist += np.bincount(keys, minlength=hist.size).reshape(hist.shape)
             go = ~any_done
             rows = rows[go]
             pos = cum[go, -1]
             if window_floor is not None:
-                below = pos < -x_max
+                below = pos < x_lo
                 if window_floor < 0:
                     hist[rows[below], floor_bin] += 1
                     pos[below] = window_floor

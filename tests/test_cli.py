@@ -64,6 +64,8 @@ class TestSimulate:
         # frozen crossers and truncated trees are excluded from the check
         d = np.genfromtxt(sim_runs / "w1" / "records.csv", delimiter=",",
                           names=True)
+        assert d.dtype.names == ("replica", "Z", "leaves", "Y", "truncated",
+                                 "generations", "H_2", "H_4")
         full = (d["H_4"] == 0) & (d["truncated"] == 0)
         assert s["identity"]["checked"] == int(full.sum())
         assert np.all(d["Y"][full] == d["leaves"][full])
@@ -325,6 +327,16 @@ class TestOracleCmd:
                        "--out", tmp_path / "orc")
         assert code == 2
         assert "depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--x", "--level"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, flag,
+                                              value):
+        code = run_cli("oracle", "--model", "critical-lattice", "--depth", 3,
+                       flag, value, "--out", tmp_path / "orc")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "orc").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert_rerun_identical(tmp_path, "oracle", "--model", "two-point",

@@ -218,6 +218,17 @@ class TestSurvival:
         ref = binomial_estimate(int((fwd.H[0] > 0).sum()), 100_000)
         assert abs(spine.value - ref.value) < 4.0 * pooled_sigma(spine, ref)
 
+    @pytest.mark.parametrize("name", ["model_c", "two_point"])
+    def test_off_lattice_start_is_the_shifted_level(self, name, request):
+        # half a span up, start and level alike: the same killed tree, so
+        # the same survival; only the renewal table's grid differs
+        model = request.getfixturevalue(name)
+        off = spines.estimate_survival_spine(model, 0.5, 4.0, 40_000,
+                                             rng_for_block(411, 0), band_eps=0.0)
+        on = spines.estimate_survival_spine(model, 0.0, 3.0, 40_000,
+                                            rng_for_block(411, 1), band_eps=0.0)
+        assert abs(off.value - on.value) < 4.0 * pooled_sigma(off, on)
+
     def test_gaussian_with_estimated_renewal(self):
         m = models.critical_binary_gaussian()
         tw = walks.make_tilted_walk(m, m.analytics().rho_star)

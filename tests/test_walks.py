@@ -278,17 +278,21 @@ class TestSkipFree:
         ([-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0],
          lambda x: 8.0 / 9.0 + 2.0 * x / 3.0 + (-0.5) ** x / 9.0),
         ([-1.0, 1.0], [0.5, 0.5], lambda x: np.floor(x) + 1.0),
-    ], ids=["up-only", "simple"])
+        # span 0.1 is no dyadic float: summed positions miss the lattice
+        # points by rounding, and must still count as on them
+        ([-0.1, 0.1], [0.5, 0.5], lambda x: np.floor(x / 0.1 + 1e-9) + 1.0),
+    ], ids=["up-only", "simple", "tenth"])
     def test_visit_count_restarts_at_the_window_floor(self, values, probs, exact):
         walk = zero_drift_lattice_walk(values, probs)
         assert walk.skip_free_up
-        # a walk below the grid restarts at its floor, -6: no walk runs into
-        # the step cap, so nothing biases the counts
-        est = walks.renewal_function(walk, self.GRID, 100_000,
+        # a walk below the grid restarts at its floor, -6 spans: no walk
+        # runs into the step cap, so nothing biases the counts
+        grid = self.GRID * walk.span
+        est = walks.renewal_function(walk, grid, 100_000,
                                      np.random.default_rng(217),
                                      method="VisitCount")
         assert est.truncated_fraction == 0.0
-        assert np.all(np.abs(est.values - exact(self.GRID)) <= 4.0 * est.stderr)
+        assert np.all(np.abs(est.values - exact(grid)) <= 4.0 * est.stderr)
 
     @pytest.mark.parametrize("top, max_steps", [(0.5, 64), (1.0, 10 ** 6)])
     def test_visit_count_narrow_window(self, ssrw, top, max_steps):
