@@ -24,8 +24,8 @@ class EstimateWithCI:
     truncated_fraction: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def within(self, target: float, n_se: float, atol: float = 0.0) -> bool:
-        return abs(self.value - target) <= n_se * self.stderr + atol
+    def within(self, target: float, n_se: float) -> bool:
+        return abs(self.value - target) <= n_se * self.stderr
 
 
 def from_samples(x: np.ndarray, truncated_fraction: float = 0.0) -> EstimateWithCI:

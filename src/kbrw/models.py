@@ -14,6 +14,9 @@ All regime analysis runs through the log-Laplace transform
     psi(t) = log E[ sum_u exp(t z_u) ]
 
 of the pattern, computed in closed form for the built-in displacement laws.
+It depends on the pattern only through its intensity mu(z) = E[# children
+displaced by z], which ``intensity()`` returns on finite support; the escape
+test, the pattern models' psi and tilted step and the oracle's tree DP read it.
 The barrier convention used throughout the package: a particle is killed when
 its position is strictly below 0 (a child at exactly 0 survives), and a level
 t > 0 is crossed when the position is strictly above t.
@@ -258,17 +261,12 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class ModelAnalytics:
-    """Everything classify_regime learns about a model's log-Laplace transform."""
+    """The regime classify_regime finds and the tilts that go with it."""
 
     regime: Regime
-    mean_offspring: float
     rho_star: float | None = None
-    psi_rho_star: float | None = None
-    dpsi_rho_star: float | None = None
-    d2psi_rho_star: float | None = None
     rho_minus: float | None = None
     rho_plus: float | None = None
-    lattice_span: float | None = None
     note: str = ""
 
     def regime_tilt(self) -> float:
@@ -307,8 +305,12 @@ class IidModel(_ModelBase):
     def mean_offspring(self) -> float:
         return self.nu.mean()
 
-    def displacement_support(self):
-        return self.step.support()
+    def intensity(self):
+        """(z increasing, E[# children displaced by z]); None if continuous."""
+        sup = self.step.support()
+        if sup is None:
+            return None
+        return sup, self.nu.mean() * self.step.probs()
 
     def spawn(self, rng: np.random.Generator, n: int):
         """Children of n particles: (litter sizes, displacements).
@@ -351,21 +353,23 @@ class PatternModel(_ModelBase):
             raise ValueError("mean offspring must exceed 1")
 
     def pattern_mgf_parts(self, t: float) -> tuple[float, float, float, float]:
-        m0 = m1 = m2 = 0.0
-        for q, pat in zip(self.atom_probs, self.patterns):
-            w = np.exp(t * pat)
-            m0 += q * w.sum()
-            m1 += q * (w * pat).sum()
-            m2 += q * (w * pat * pat).sum()
-        return m0, m1, m2, math.log(m0)
+        z, lam = self.intensity()
+        w = lam * np.exp(t * z)
+        m0 = float(w.sum())
+        return m0, float((w * z).sum()), float((w * z * z).sum()), math.log(m0)
 
     @property
     def mean_offspring(self) -> float:
         return float(sum(q * len(p) for q, p in zip(self.atom_probs, self.patterns)))
 
-    def displacement_support(self):
-        vals = np.concatenate([p for p in self.patterns if p.size] or [np.array([])])
-        return np.unique(vals)
+    def intensity(self):
+        """(z increasing, E[# children displaced by z]).
+
+        Each z adds up its slots' atom probabilities atom by atom, slot by slot.
+        """
+        z, slot = np.unique(self._flat, return_inverse=True)
+        q = np.repeat(self.atom_probs, self._sizes)
+        return z, np.bincount(slot, weights=q, minlength=z.size)
 
     def sample_atom(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return _inverse_cdf(self._cdf, rng.random(n))
@@ -381,16 +385,10 @@ class PatternModel(_ModelBase):
         return nu, _take_runs(self._flat, self._offsets[atom], nu)
 
     def tilted_step(self, rho: float) -> FiniteStep:
-        """Step law of the spine walk: the pattern intensity tilted by e^{rho z}.
-
-        Weights add up atom by atom and slot by slot.
-        """
-        sup = self.displacement_support()
-        weights = np.zeros(sup.size)
-        for q, pat in zip(self.atom_probs, self.patterns):
-            for z in pat:
-                weights[np.searchsorted(sup, z)] += q * math.exp(rho * z)
-        return FiniteStep(sup, weights / weights.sum())
+        """Step law of the spine walk: the pattern intensity tilted by e^{rho z}."""
+        z, lam = self.intensity()
+        w = lam * np.exp(rho * z)
+        return FiniteStep(z, w / w.sum())
 
     def to_json(self) -> dict:
         return {
@@ -482,21 +480,6 @@ def _golden_min(f, lo, hi, tol=1e-10, max_iter=300):
     return x
 
 
-def _top_displacement_intensity(model):
-    """(z_max, E[# children displaced by exactly z_max]), or None if unbounded."""
-    sup = model.displacement_support()
-    if sup is None:
-        return None
-    z_max = float(np.max(sup))
-    if isinstance(model, IidModel):
-        probs = model.step.probs()
-        lam = model.nu.mean() * float(probs[int(np.argmax(model.step.support()))])
-    else:
-        lam = sum(float(q) * int(np.sum(np.asarray(p) == z_max))
-                  for q, p in zip(model.atom_probs, model.patterns))
-    return z_max, lam
-
-
 def find_rho_star(model) -> float:
     """The root of psi(t) = t psi'(t), i.e. the minimizer of psi(t)/t on t > 0.
 
@@ -507,8 +490,8 @@ def find_rho_star(model) -> float:
     exactly when the expected number of children at the top displacement is
     >= 1, in which case g(t) -> 0- and bisection would chase float noise.
     """
-    top = _top_displacement_intensity(model)
-    if top is not None and top[1] >= 1.0 - 1e-12:
+    mu = model.intensity()
+    if mu is not None and mu[1][-1] >= 1.0 - 1e-12:
         raise ValueError(
             "expected children at the top displacement >= 1: psi(t)/t decreases "
             "to its infimum at infinity and the model escapes upward")
@@ -591,35 +574,27 @@ def drift_sign(d: float) -> int:
 
 
 def classify_regime(model) -> ModelAnalytics:
-    """Regime classification with the full analytics bundle.
+    """Regime classification and the tilts that go with it.
 
     Critical:    psi'(rho_star) ~ 0 (drift_sign 0).
     Subcritical: psi'(rho_star) < 0; rho_minus/rho_plus are solved.
     Everything else (escape upward) is out of scope for the killed-walk
     asymptotics and is labeled, not silently accepted.
     """
-    m = model.mean_offspring
-    supp = model.displacement_support()
-    span = lattice_span(supp) if supp is not None else None
     try:
         rho_star = find_rho_star(model)
     except ValueError as e:
-        return ModelAnalytics(regime=Regime.OUT_OF_SCOPE, mean_offspring=m,
-                              lattice_span=span, note=str(e))
-    psi_s, dpsi_s, d2psi_s = log_laplace(model, rho_star)
-    at_star = dict(mean_offspring=m, rho_star=rho_star, psi_rho_star=psi_s,
-                   dpsi_rho_star=dpsi_s, d2psi_rho_star=d2psi_s,
-                   lattice_span=span)
-    sign = drift_sign(dpsi_s)
+        return ModelAnalytics(regime=Regime.OUT_OF_SCOPE, note=str(e))
+    sign = drift_sign(log_laplace(model, rho_star)[1])
     if sign > 0:
         return ModelAnalytics(
-            regime=Regime.OUT_OF_SCOPE, **at_star,
+            regime=Regime.OUT_OF_SCOPE, rho_star=rho_star,
             note="psi'(rho_star) > 0: survives the barrier with positive probability")
     if sign == 0:
-        return ModelAnalytics(regime=Regime.CRITICAL, **at_star)
+        return ModelAnalytics(regime=Regime.CRITICAL, rho_star=rho_star)
     rho_minus, rho_plus = find_rho_pm(model, rho_star)
-    return ModelAnalytics(regime=Regime.SUBCRITICAL, rho_minus=rho_minus,
-                          rho_plus=rho_plus, **at_star)
+    return ModelAnalytics(regime=Regime.SUBCRITICAL, rho_star=rho_star,
+                          rho_minus=rho_minus, rho_plus=rho_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +607,10 @@ def critical_binary_gaussian() -> IidModel:
     return IidModel(FixedOffspring(2), GaussianStep(mu=-math.sqrt(2.0 * math.log(2.0))))
 
 
-def subcritical_binary_gaussian(mu: float = -1.5) -> IidModel:
-    """Two children, N(mu,1) displacements; rho_star = sqrt(2 log 2) for any mu,
-    and mu = -1.5 gives rho_pm = 1.5 -+ sqrt(2.25 - 2 log 2)."""
-    if mu >= -math.sqrt(2.0 * math.log(2.0)):
-        raise ValueError("mu too large: not subcritical")
-    return IidModel(FixedOffspring(2), GaussianStep(mu=mu))
+def subcritical_binary_gaussian() -> IidModel:
+    """Two children, N(-1.5,1) displacements: rho_star = sqrt(2 log 2) and
+    rho_pm = 1.5 -+ sqrt(2.25 - 2 log 2)."""
+    return IidModel(FixedOffspring(2), GaussianStep(mu=-1.5))
 
 
 def two_point_subcritical() -> IidModel:

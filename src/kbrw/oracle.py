@@ -28,6 +28,9 @@ from .models import (
 )
 from .walks import cramer_gamma
 
+WALK_DP_TOL = 1e-15           # walk_functional stops once less mass is left
+WALK_DP_MAX_STEPS = 10 ** 6   # ... and raises if that takes longer
+
 
 class KahanSum:
     """Compensated accumulator; float(s) gives the running sum."""
@@ -52,23 +55,6 @@ class KahanSum:
 # lattice helpers
 
 
-def _intensity(model) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements z and E[# children at displacement z] for one particle."""
-    if isinstance(model, IidModel):
-        vals = model.step.support()
-        if vals is None:
-            raise ValueError("oracle DP needs finite displacement support")
-        return np.asarray(vals, float), model.nu.mean() * model.step.probs()
-    if isinstance(model, PatternModel):
-        table: dict[float, float] = {}
-        for q, pat in zip(model.atom_probs, model.patterns):
-            for z in pat:
-                table[float(z)] = table.get(float(z), 0.0) + q
-        vals = np.array(sorted(table))
-        return vals, np.array([table[v] for v in vals])
-    raise TypeError("unsupported model type")
-
-
 def _to_grid(value: float, span: float, what: str) -> int:
     if not math.isfinite(value):
         raise ValueError(f"{what}={value} is not finite")
@@ -84,15 +70,11 @@ def _to_grid(value: float, span: float, what: str) -> int:
 
 @dataclass
 class TreeDPResult:
-    depth: int
     alive: np.ndarray          # alive[g] = E[# particles alive at generation g]
     leaves: np.ndarray         # leaves[g] = E[# children killed at generation g]
     crossers: np.ndarray       # first-crossers of `level` at generation g (0 if no level)
     wsum: np.ndarray           # E[sum_alive e^{rho V}] per generation (if rho given)
     vwsum: np.ndarray          # E[sum_alive V e^{rho V}] per generation
-    rho: float | None
-    level: float | None
-    barrier: bool
 
     @property
     def expected_crossers_total(self) -> float:
@@ -111,7 +93,10 @@ def tree_expectations(model, x: float, depth: int, *, barrier: bool = True,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    vals, intens = _intensity(model)
+    mu = model.intensity()
+    if mu is None:
+        raise ValueError("oracle DP needs finite displacement support")
+    vals, intens = mu
     span = lattice_span(vals)
     if span is None:
         raise ValueError("displacement support is not a lattice")
@@ -157,8 +142,8 @@ def tree_expectations(model, x: float, depth: int, *, barrier: bool = True,
                 nxt[kk] = nxt.get(kk, 0.0) + child_mass
         cur = nxt
         tally(g)
-    return TreeDPResult(depth=depth, alive=alive, leaves=leaves, crossers=crossers,
-                        wsum=wsum, vwsum=vwsum, rho=rho, level=level, barrier=barrier)
+    return TreeDPResult(alive=alive, leaves=leaves, crossers=crossers,
+                        wsum=wsum, vwsum=vwsum)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +161,9 @@ class EnumTree:
 
     def __init__(self, x: float, alive: bool = True):
         self.pos = [x]
-        self.parent = [-1]
         self.gen = [0]
         self.alive = [alive]
         self.crossed = [False]
-        self.nu = [None]
 
     def leaves_killed(self) -> int:
         return sum(1 for a in self.alive if not a)
@@ -226,7 +209,6 @@ def _node_outcomes(model) -> list[tuple[float, tuple[float, ...]]]:
 @dataclass
 class EnumerationResult:
     value: float
-    n_terms: int
     prob_mass: float
 
 
@@ -265,28 +247,21 @@ def enumerate_tree_expectation(model, x: float, depth: int, functional,
                 base = len(tree.pos)
                 nxt = []
                 for node, disp in zip(frontier, chosen):
-                    tree.nu[node] = len(disp)
                     for z in disp:
                         p = tree.pos[node] + z
                         tree.pos.append(p)
-                        tree.parent.append(node)
                         tree.gen.append(g + 1)
                         ok = (not barrier) or p >= 0.0
                         crossed = level is not None and ok and p > level
                         tree.alive.append(ok)
                         tree.crossed.append(crossed)
-                        tree.nu.append(None)
                         if ok and not crossed:
                             nxt.append(len(tree.pos) - 1)
                 do_level(nxt, g + 1, prob_j)
                 del tree.pos[base:]
-                del tree.parent[base:]
                 del tree.gen[base:]
                 del tree.alive[base:]
                 del tree.crossed[base:]
-                del tree.nu[base:]
-                for node in frontier:
-                    tree.nu[node] = None
                 return
             for q, disp in outcomes:
                 chosen.append(disp)
@@ -300,7 +275,7 @@ def enumerate_tree_expectation(model, x: float, depth: int, functional,
     pm = float(mass)
     if abs(pm - 1.0) > 1e-9:
         raise ArithmeticError(f"enumeration probability mass {pm} != 1")
-    return EnumerationResult(value=float(acc), n_terms=state["terms"], prob_mass=pm)
+    return EnumerationResult(value=float(acc), prob_mass=pm)
 
 
 # ---------------------------------------------------------------------------
@@ -310,33 +285,17 @@ def enumerate_tree_expectation(model, x: float, depth: int, functional,
 def spine_signature_measure(model, rho: float) -> dict[tuple[float, int], float]:
     """Exact one-generation law of (spine displacement, litter size).
 
-    Computed straight from the model's raw tables: picking a depth-1 child
-    with weight e^{rho z} inside the size-biased tree gives
-    P(step=z, nu=k) = P(pattern has count k) * (# of z in pattern) * e^{rho z}
-    summed over patterns (normalized by e^{psi(rho)}, which is 1 at a mass-1
+    Computed straight from the model's node outcomes: picking a depth-1
+    child with weight e^{rho z} inside the size-biased tree gives
+    P(step=z, nu=k) = sum over outcomes of size k of q * (# of z in the
+    outcome) * e^{rho z} (normalized by e^{psi(rho)}, which is 1 at a mass-1
     tilt).  Used as the enumeration side against the sampler's own tables.
     """
     table: dict[tuple[float, int], float] = {}
-    if isinstance(model, IidModel):
-        sup = model.step.support()
-        if sup is None:
-            raise ValueError("needs finite displacement support")
-        sp = model.step.probs()
-        nv, np_ = model.nu.pmf()
-        for k, pk in zip(nv, np_):
-            if k == 0:
-                continue
-            for z, pz in zip(sup, sp):
-                key = (float(z), int(k))
-                table[key] = table.get(key, 0.0) + float(pk) * int(k) * float(pz) * math.exp(rho * float(z))
-    elif isinstance(model, PatternModel):
-        for q, pat in zip(model.atom_probs, model.patterns):
-            k = len(pat)
-            for z in pat:
-                key = (float(z), int(k))
-                table[key] = table.get(key, 0.0) + float(q) * math.exp(rho * float(z))
-    else:
-        raise TypeError("unsupported model type")
+    for q, outcome in _node_outcomes(model):
+        for z in outcome:
+            key = (float(z), len(outcome))
+            table[key] = table.get(key, 0.0) + q * math.exp(rho * z)
     total = sum(table.values())
     return {k: v / total for k, v in table.items()}
 
@@ -359,14 +318,15 @@ class WalkOracle:
 
 def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 0.0,
                     upper: float | None = None, rho: float | None = None,
-                    horizon: int | None = None, tol: float = 1e-15,
-                    max_steps: int = 10 ** 6) -> WalkOracle:
+                    horizon: int | None = None) -> WalkOracle:
     """Exact lattice DP for a walk with finite step support.
 
     ``lower`` kills on S < lower (strict), ``upper`` absorbs on S > upper
     (strict).  With only one barrier and positive drift away from it, pass the
     other as a cutoff and read ``error_bound``: the Cramer bound on mass that
-    would still have hit the barrier beyond the cutoff.
+    would still have hit the barrier beyond the cutoff.  With no ``horizon``
+    the DP runs until less than WALK_DP_TOL mass is left, and raises if that
+    takes more than WALK_DP_MAX_STEPS steps.
     """
     vals = np.asarray(step_values, float)
     probs = np.asarray(step_probs, float)
@@ -390,7 +350,7 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     e_lower = KahanSum()
     under: dict[float, float] = {}
     n = 0
-    limit = horizon if horizon is not None else max_steps
+    limit = horizon if horizon is not None else WALK_DP_MAX_STEPS
     while cur and n < limit:
         n += 1
         nxt: dict[int, float] = {}
@@ -410,11 +370,11 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
                     continue
                 nxt[kk] = nxt.get(kk, 0.0) + m
         cur = nxt
-        if horizon is None and sum(cur.values()) < tol:
+        if horizon is None and sum(cur.values()) < WALK_DP_TOL:
             break
     residual = sum(cur.values())
-    if horizon is None and residual >= tol and n >= limit:
-        raise RuntimeError("walk DP did not absorb within max_steps")
+    if horizon is None and residual >= WALK_DP_TOL and n >= limit:
+        raise RuntimeError(f"walk DP did not absorb within {WALK_DP_MAX_STEPS} steps")
 
     # Cramer bound for interpreting the upper cutoff as "never hits lower":
     # gamma > 0 with sum p e^{-gamma v} = 1 exists iff drift > 0, and

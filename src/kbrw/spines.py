@@ -19,8 +19,8 @@ import numpy as np
 from . import trees
 from .estimates import EstimateWithCI, from_samples
 from .models import PatternModel, _inverse_cdf, _take_runs, size_biased_pmf
-from .walks import (RenewalEstimate, h_transform_accept, h_transform_pick,
-                    make_tilted_walk, passage_ensemble)
+from .walks import (RenewalEstimate, TiltedWalk, h_transform_accept,
+                    h_transform_pick, make_tilted_walk, passage_ensemble)
 
 MAX_SPINE_STEPS = 10 ** 6   # a spine still below t after this many is an error
 
@@ -42,13 +42,12 @@ class SpineReproduction:
     """
 
     model: object
-    rho: float
+    walk: TiltedWalk         # the spine's walk at the regime's tilt
     # one row per spine choice: displacement and probability; for iid
     # models the tilted step's support, None when that is continuous
     choice_z: np.ndarray | None
     choice_probs: np.ndarray | None
-    # iid litters: the tilted step and the size-biased litter size law
-    spine_step: object | None = None
+    # iid litters: the size-biased litter size law
     nu_values: np.ndarray | None = None
     nu_probs: np.ndarray | None = None
     # pattern litters: the siblings of every choice row, end to end
@@ -73,9 +72,9 @@ class SpineReproduction:
         return out
 
 
-def tilted_reproduction(model, rho=None) -> SpineReproduction:
-    """The spine generation law at a mass-1 tilt; None means the regime's."""
-    tw = make_tilted_walk(model, rho)
+def tilted_reproduction(model) -> SpineReproduction:
+    """The spine generation law at the regime's tilt."""
+    tw = make_tilted_walk(model)
     rho = tw.rho
     if isinstance(model, PatternModel):
         zs, qs, flat, offs, cnts = [], [], [], [], []
@@ -90,7 +89,7 @@ def tilted_reproduction(model, rho=None) -> SpineReproduction:
                 cnts.append(rest.size)
         qs = np.asarray(qs)
         qs /= qs.sum()
-        return SpineReproduction(model=model, rho=rho,
+        return SpineReproduction(model=model, walk=tw,
                                  choice_z=np.asarray(zs), choice_probs=qs,
                                  sib_flat=np.asarray(flat, float),
                                  sib_offsets=np.asarray(offs, np.int64),
@@ -99,23 +98,23 @@ def tilted_reproduction(model, rho=None) -> SpineReproduction:
     sup = step.support()
     nv, npr = size_biased_pmf(model.nu)
     return SpineReproduction(
-        model=model, rho=rho,
+        model=model, walk=tw,
         choice_z=None if sup is None else np.asarray(sup, float),
         choice_probs=None if sup is None else np.asarray(step.probs(), float),
-        spine_step=step, nu_values=np.asarray(nv), nu_probs=np.asarray(npr))
+        nu_values=np.asarray(nv), nu_probs=np.asarray(npr))
 
 
-def spine_marginal_check(model, rho=None, oracle_table: dict | None = None) -> float:
+def spine_marginal_check(model, oracle_table: dict | None = None) -> float:
     """Total variation between the sampler's generation table and an exact one.
 
     With no table supplied the comparison is against the enumeration oracle,
     so the result should be at numerical zero for any correct model.
     """
     from . import oracle
-    rep = tilted_reproduction(model, rho)
+    rep = tilted_reproduction(model)
     mine = rep.signature_table()
     ref = oracle_table if oracle_table is not None \
-        else oracle.spine_signature_measure(model, rep.rho)
+        else oracle.spine_signature_measure(model, rep.walk.rho)
     keys = set(mine) | set(ref)
     return 0.5 * sum(abs(mine.get(k, 0.0) - ref.get(k, 0.0)) for k in keys)
 
@@ -124,15 +123,15 @@ def spine_marginal_check(model, rho=None, oracle_table: dict | None = None) -> f
 # many-to-one reductions
 
 
-def many_to_one_estimate(model, x: float, n: int, F, n_replicas: int, rng, *,
-                         rho=None) -> EstimateWithCI:
+def many_to_one_estimate(model, x: float, n: int, F, n_replicas: int,
+                         rng) -> EstimateWithCI:
     """E[sum over generation-n particles of F(path)] via one tilted walk.
 
     F must map a (replicas, n+1) array of positions (column 0 is x) to one
-    value per row.  The reduction weights each spine path by
-    e^{-rho (S_n - x)}; at a mass-1 tilt this is the whole change of measure.
+    value per row.  The spine walks at the regime's mass-1 tilt rho, and the
+    weight e^{-rho (S_n - x)} on each path is the whole change of measure.
     """
-    tw = make_tilted_walk(model, rho)
+    tw = make_tilted_walk(model)
     rho = tw.rho
     inc = tw.step.sample(rng, n_replicas * n).reshape(n_replicas, n)
     paths = np.empty((n_replicas, n + 1))
@@ -148,15 +147,14 @@ def many_to_one_estimate(model, x: float, n: int, F, n_replicas: int, rng, *,
     return est
 
 
-def estimate_EH(model, x: float, t: float, n_replicas: int, rng, *,
-                rho=None, max_steps: int = 10 ** 6) -> EstimateWithCI:
+def estimate_EH(model, x: float, t: float, n_replicas: int, rng) -> EstimateWithCI:
     """E[number of first crossers of t] in the killed tree, by one walk.
 
     The crossing line reduces to the tilted spine stopped at leaving [0, t]:
     paths killed below zero contribute nothing, crossings contribute
     e^{rho (x - S_tau)}.  A start above t is its own crossing line.
     """
-    tw = make_tilted_walk(model, rho)
+    tw = make_tilted_walk(model)
     rho = tw.rho
     if x < 0:
         raise ValueError("start below the barrier")
@@ -164,7 +162,7 @@ def estimate_EH(model, x: float, t: float, n_replicas: int, rng, *,
         return EstimateWithCI(value=1.0, stderr=0.0, n_effective=float("inf"),
                               extra={"rho": rho, "exact": True})
     ens = passage_ensemble(tw, x, n_replicas, rng, lower=0.0, upper=t,
-                           max_steps=max_steps)
+                           max_steps=10 ** 6)
     samples = np.zeros(n_replicas)
     hit = ens.hit_above
     samples[hit] = np.exp(rho * (x - ens.finals[hit]))
@@ -179,7 +177,7 @@ def estimate_EH(model, x: float, t: float, n_replicas: int, rng, *,
 
 def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
                             renewal: RenewalEstimate | None = None,
-                            rho=None, band_eps: float = 1e-3) -> EstimateWithCI:
+                            band_eps: float = 1e-3) -> EstimateWithCI:
     """P(some particle of the killed tree crosses t), any depth of t.
 
     Change the measure by the crossing-line weight sum
@@ -202,7 +200,8 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     hit a hard cap are invalid: their share is the estimate's
     truncated_fraction, and extra["invalid_fraction"] repeats it.
     """
-    tw = make_tilted_walk(model, rho)
+    rep = tilted_reproduction(model)
+    tw = rep.walk
     rho = tw.rho
     if not 0.0 <= x:
         raise ValueError("start below the barrier")
@@ -219,7 +218,6 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         grid = np.arange(off, t + 4 * tw.span, tw.span)
         renewal = closed_form_renewal(tw, grid)
     R = renewal.evaluate
-    rep = tilted_reproduction(model, rho)
     L = 0.0 if band_eps <= 0.0 else max(0.0, t - math.log(1.0 / band_eps) / rho)
 
     S = np.full(n_replicas, float(x))
@@ -240,7 +238,7 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
             keys, pick = h_transform_pick(R, y, rep.choice_z, rep.choice_probs, rng)
             znew = keys + rep.choice_z[pick]
         else:
-            znew = h_transform_accept(R, y, rep.spine_step, renewal, rng)
+            znew = h_transform_accept(R, y, tw.step, renewal, rng)
         if rep.sib_counts is None:
             srep, spos = _iid_litter(rep, y, idx, rng)
         else:

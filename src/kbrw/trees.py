@@ -27,6 +27,7 @@ from .models import Regime
 from .walks import make_tilted_walk
 
 LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
+LINE_MAX_GENERATIONS = 300   # its generation cap; the frontier left is credited
 
 
 @dataclass(frozen=True)
@@ -283,8 +284,7 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
 
 
 def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
-                             rho=None, prune_eps: float = 1e-3,
-                             max_generations: int = 300) -> EstimateWithCI:
+                             rho=None, prune_eps: float = 1e-3) -> EstimateWithCI:
     """Mean of sum e^{rho V} over the first-crossing line of level t, free tree.
 
     For mass-1 tilts with nonnegative drift every line of descent crosses t
@@ -311,7 +311,7 @@ def stopped_line_tilted_mass(model, x: float, t: float, n_replicas: int, rng, *,
         pos = np.full(nb, float(x))
         tree = np.arange(nb, dtype=np.int64)
         g = 0
-        while tree.size and g < max_generations:
+        while tree.size and g < LINE_MAX_GENERATIONS:
             g += 1
             nu, disp = model.spawn(rng, pos.size)
             cpos = np.repeat(pos, nu) + disp

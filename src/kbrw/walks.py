@@ -573,7 +573,8 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     The path zeta_1..zeta_n is complete once a ladder epoch lands at or past n.
     Blocks are heavy-tailed for zero-drift walks, so replicas whose covering
     block is still open after max_steps raw steps come back truncated (NaN
-    tail) rather than biased.
+    tail) rather than biased.  On a lattice a record must clear the running
+    maximum by ``walk.position_tol``, so a rounded return to it is no record.
     """
     n = int(n_steps)
     if n < 0:
@@ -596,7 +597,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
         crun = np.maximum.accumulate(cum, axis=1)
         prev_run = np.concatenate(
             [np.full((na, 1), -np.inf), crun[:, :-1]], axis=1)
-        rec = cum > np.maximum(M[:, None], prev_run)
+        rec = cum > np.maximum(M[:, None], prev_run) + walk.position_tol
 
         er, ec = np.nonzero(rec)        # row-major: events time-ordered per row
         if er.size:

@@ -31,6 +31,7 @@ from kbrw.models import (
     subcritical_binary_gaussian,
     two_point_subcritical,
 )
+from kbrw.walks import make_tilted_walk
 
 SQRT6 = math.sqrt(6.0)
 SQRT3 = math.sqrt(3.0)
@@ -54,13 +55,15 @@ RHO_STAR_LATTICE = math.log(2.0 + SQRT3)       # 1.3169578969248166
 
 class TestBuiltinAnalytics:
     def test_critical_gaussian(self):
-        an = critical_binary_gaussian().analytics()
+        m = critical_binary_gaussian()
+        an = m.analytics()
         assert an.regime is Regime.CRITICAL
         assert an.rho_star == pytest.approx(RHO_STAR_CRIT_GAUSS, abs=1e-10)
-        assert abs(an.psi_rho_star) < 1e-10
-        assert abs(an.dpsi_rho_star) < 1e-9
-        assert an.d2psi_rho_star == pytest.approx(1.0, abs=1e-8)
-        assert an.lattice_span is None
+        psi, dpsi, d2psi = log_laplace(m, an.rho_star)
+        assert abs(psi) < 1e-10
+        assert abs(dpsi) < 1e-9
+        assert d2psi == pytest.approx(1.0, abs=1e-8)
+        assert make_tilted_walk(m).span is None
         assert an.regime_tilt() == an.rho_star
 
     def test_subcritical_gaussian(self):
@@ -73,11 +76,12 @@ class TestBuiltinAnalytics:
         assert an.regime_tilt() == an.rho_plus
 
     def test_two_point(self):
-        an = two_point_subcritical().analytics()
+        m = two_point_subcritical()
+        an = m.analytics()
         assert an.regime is Regime.SUBCRITICAL
         assert an.rho_minus == pytest.approx(RHO_MINUS_TWO_POINT, abs=1e-9)
         assert an.rho_plus == pytest.approx(RHO_PLUS_TWO_POINT, abs=1e-9)
-        assert an.lattice_span == pytest.approx(1.0)
+        assert make_tilted_walk(m).span == pytest.approx(1.0)
         # slope ratio of the two tail exponents
         assert an.rho_plus / an.rho_minus == pytest.approx(2.1447825, abs=1e-6)
 
@@ -92,11 +96,12 @@ class TestBuiltinAnalytics:
         assert dpsi > 0
 
     def test_critical_lattice(self):
-        an = critical_lattice_binary().analytics()
+        m = critical_lattice_binary()
+        an = m.analytics()
         assert an.regime is Regime.CRITICAL
         assert an.rho_star == pytest.approx(RHO_STAR_LATTICE, abs=1e-9)
-        assert an.lattice_span == pytest.approx(1.0)
-        assert an.d2psi_rho_star == pytest.approx(1.0, abs=1e-8)
+        assert make_tilted_walk(m).span == pytest.approx(1.0)
+        assert log_laplace(m, an.rho_star)[2] == pytest.approx(1.0, abs=1e-8)
         tilted = critical_lattice_binary().step.tilted(an.rho_star)
         assert tilted.p_up == pytest.approx(0.5, abs=1e-12)
 
@@ -115,11 +120,15 @@ class TestRegimeBoundaries:
         assert an.note
 
     def test_escape_upward_is_out_of_scope(self):
-        # deterministic +1 drift: psi(t)/t decreases to 1, no interior minimum
-        m = IidModel(FixedOffspring(2), FiniteStep([1.0], [1.0]))
-        an = m.analytics()
-        assert an.regime is Regime.OUT_OF_SCOPE
-        assert "escape" in an.note or "minimum" in an.note
+        for m in (
+            # deterministic +1 drift: psi(t)/t decreases to 1, no interior minimum
+            IidModel(FixedOffspring(2), FiniteStep([1.0], [1.0])),
+            # 1.5 expected children at the top displacement +1
+            PatternModel([(0.5, (1.0, 1.0, -1.0)), (0.5, (1.0, -2.0))]),
+        ):
+            an = m.analytics()
+            assert an.regime is Regime.OUT_OF_SCOPE
+            assert "escape" in an.note or "minimum" in an.note
 
     def test_rho_pm_refuses_critical(self):
         with pytest.raises(ValueError):
@@ -222,6 +231,54 @@ class TestPatternModel:
         parent = np.repeat(np.arange(20), nu)
         for i in range(20):
             assert disp[parent == i].tolist() in ([1.0, -1.0], [2.0, -2.0, 0.5])
+
+
+class TestIntensity:
+    def test_pattern_table(self):
+        # the spine tests' pattern: one child down, or an up-down pair
+        m = PatternModel([(0.75, (-1.0,)), (0.25, (1.0, -1.0))])
+        z, lam = m.intensity()
+        assert z.tolist() == [-1.0, 1.0]
+        assert lam.tolist() == [1.0, 0.25]
+
+    def test_iid_lattice_is_mean_times_probs(self):
+        m = critical_lattice_binary()
+        z, lam = m.intensity()
+        assert z.tolist() == [-1.0, 1.0]
+        assert lam.tolist() == (2.0 * m.step.probs()).tolist()
+
+    def test_continuous_step_has_none(self):
+        assert critical_binary_gaussian().intensity() is None
+
+
+def _slot_loop_reference(m, t):
+    """tilted_step weights and pattern_mgf_parts summed slot by slot."""
+    sup = np.unique(np.concatenate(m.patterns))
+    weights = np.zeros(sup.size)
+    m0 = m1 = m2 = 0.0
+    for q, pat in zip(m.atom_probs, m.patterns):
+        for z in pat:
+            w = q * math.exp(t * z)
+            weights[np.searchsorted(sup, z)] += w
+            m0, m1, m2 = m0 + w, m1 + w * z, m2 + w * z * z
+    return sup, weights / weights.sum(), (m0, m1, m2, math.log(m0))
+
+
+class TestPatternAgreesWithSlotLoop:
+    @pytest.mark.parametrize("atoms", [
+        [(0.5, (0.3, -0.2)), (0.5, (0.1, -0.1, -0.4))],
+        [(0.75, (-1.0,)), (0.25, (1.0, -1.0))],
+        [(0.2, ()), (0.3, (0.5, 0.5, -1.5)), (0.5, (-1.5, 2.0, 0.5))],
+    ])
+    def test_tilted_step_and_mgf_parts(self, atoms):
+        m = PatternModel(atoms)
+        for t in (-0.9, 0.0, 0.7, 2.3):
+            sup, probs, parts = _slot_loop_reference(m, t)
+            step = m.tilted_step(t)
+            assert step.values.tolist() == sup.tolist()
+            np.testing.assert_allclose(step.probs(), probs, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(m.pattern_mgf_parts(t), parts,
+                                       rtol=1e-14, atol=0)
 
 
 class TestOffspring:

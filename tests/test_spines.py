@@ -77,8 +77,8 @@ class TestSpineLaw:
 
     def test_spine_step_is_tilted(self, two_point):
         rep = spines.tilted_reproduction(two_point)
-        sup = rep.spine_step.support()
-        p = rep.spine_step.probs()[list(sup).index(1.0)]
+        sup = rep.walk.step.support()
+        p = rep.walk.step.probs()[list(sup).index(1.0)]
         assert abs(p - P_UP_TILTED) < 1e-12
 
     def test_largest_uniform_draws_the_last_litter_size(self):
@@ -108,10 +108,6 @@ class TestSpineLaw:
         m = models.IidModel(models.FixedOffspring(2), models.GaussianStep(0.0))
         with pytest.raises(ValueError, match="no default tilt"):
             spines.tilted_reproduction(m)
-
-    def test_tilt_must_have_mass_one(self, model_c):
-        with pytest.raises(ValueError, match="mass-1"):
-            spines.tilted_reproduction(model_c, rho=0.5)
 
 
 class TestManyToOne:

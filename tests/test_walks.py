@@ -413,6 +413,16 @@ class TestTanaka:
     def test_truncation_small_and_reported(self, tanaka_ens):
         assert tanaka_ens.truncated_fraction < 0.02
 
+    def test_tenth_lattice_records_match_the_unit_lattice(self):
+        # both walks draw the same step indices: a rounded return to the
+        # running maximum on span 0.1 must not read as a new record
+        tenth = zero_drift_lattice_walk([-0.1, 0.1], [0.5, 0.5])
+        unit = zero_drift_lattice_walk([-1.0, 1.0], [0.5, 0.5])
+        a, b = (walks.tanaka_ensemble(w, 50, 2_000, np.random.default_rng(3),
+                                      max_steps=10 ** 5) for w in (tenth, unit))
+        assert a.truncated.tolist() == b.truncated.tolist()
+        np.testing.assert_allclose(10.0 * a.complete(), b.complete(), rtol=0, atol=1e-6)
+
 
 class TestMinRecordSampler:
     def test_ssrw_weights_identically_one(self, ssrw):
