@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -413,6 +414,9 @@ def cmd_spine(args) -> int:
     model = _load_model(args.model)
     seed = _parse_seed(args.seed)
     an = model.analytics()
+    for flag in ("x", "t"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag} must be finite")
     if args.x < 0:
         raise ConfigError("start must sit at or above the barrier")
     if args.t <= args.x:

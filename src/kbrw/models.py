@@ -19,7 +19,9 @@ displaced by z], which ``intensity()`` returns on finite support; the escape
 test, the pattern models' psi and tilted step and the oracle's tree DP read it.
 The barrier convention used throughout the package: a particle is killed when
 its position is strictly below 0 (a child at exactly 0 survives), and a level
-t > 0 is crossed when the position is strictly above t.
+t > 0 is crossed when the position is strictly above t.  On a lattice the
+simulations carry positions as whole spans (``LatticeFrame``), so these
+comparisons are exact; ``lattice_units`` is where a float meets the lattice.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ class TwoPointStep:
 
     def probs(self) -> np.ndarray:
         return np.array([1.0 - self.p_up, self.p_up])
+
+    def mapped(self, f) -> "TwoPointStep":
+        return TwoPointStep(float(f(self.up)), float(f(self.down)), self.p_up)
 
     def tilted(self, rho: float) -> "TwoPointStep":
         wu = self.p_up * math.exp(rho * self.up)
@@ -155,6 +160,9 @@ class FiniteStep:
     def probs(self) -> np.ndarray:
         return self._probs.copy()
 
+    def mapped(self, f) -> "FiniteStep":
+        return FiniteStep(f(self.values), self._probs)
+
     def tilted(self, rho: float) -> "FiniteStep":
         w = self._probs * np.exp(rho * self.values)
         return FiniteStep(self.values, w / w.sum())
@@ -187,9 +195,6 @@ class FixedOffspring:
     def mean(self) -> float:
         return float(self.value)
 
-    def max(self) -> int:
-        return self.value
-
     def pmf(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.value]), np.array([1.0])
 
@@ -217,9 +222,6 @@ class PmfOffspring:
 
     def mean(self) -> float:
         return float((self.values * self._probs).sum())
-
-    def max(self) -> int:
-        return int(self.values[-1])
 
     def pmf(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values.copy(), self._probs.copy()
@@ -325,6 +327,9 @@ class IidModel(_ModelBase):
         """Step law of the spine walk: the displacement law tilted by e^{rho z}."""
         return self.step.tilted(rho)
 
+    def mapped(self, f) -> "IidModel":
+        return IidModel(self.nu, self.step.mapped(f))
+
     def to_json(self) -> dict:
         return {"kind": "iid", "nu": self.nu.to_json(), "x": self.step.to_json()}
 
@@ -389,6 +394,9 @@ class PatternModel(_ModelBase):
         z, lam = self.intensity()
         w = lam * np.exp(rho * z)
         return FiniteStep(z, w / w.sum())
+
+    def mapped(self, f) -> "PatternModel":
+        return PatternModel([(q, f(p)) for q, p in zip(self.atom_probs, self.patterns)])
 
     def to_json(self) -> dict:
         return {
@@ -566,6 +574,70 @@ def lattice_span(values, tol: float = 1e-9) -> float | None:
         if abs(v / s - round(v / s)) > tol:
             return None
     return s
+
+
+# ---------------------------------------------------------------------------
+# lattice positions: whole spans from the coset of the starts
+
+LATTICE_TOL = 1e-9     # spans a value may sit off a lattice point and be on it
+
+
+def lattice_units(values, span: float, how: str = "exact", what: str = "value"):
+    """``values`` in whole spans, as float64 whole numbers: the one place a
+    float meets a lattice, run once per call on starts, barriers, levels,
+    grids and steps.  A value within LATTICE_TOL spans of a lattice point is
+    on it; "exact" refuses any other, "floor" and "ceil" round it for strict
+    upper and lower barriers (x > b iff k > floor, x < b iff k < ceil)."""
+    k = np.asarray(values, float) / span
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"{what} must be finite")
+    near = np.rint(k)
+    on = np.abs(k - near) <= LATTICE_TOL
+    if how == "exact" and not on.all():
+        raise ValueError(f"{what} is not on the lattice with span {span}")
+    return np.where(on, near, np.floor(k) if how == "floor" else np.ceil(k))
+
+
+def in_spans(law, span: float | None):
+    """A step law or model drawing the same uniforms in whole spans (its
+    ``mapped(f)`` maps every displacement by an increasing f); a continuous
+    law (span None) is itself."""
+    if span is None:
+        return law
+    return law.mapped(lambda v: lattice_units(v, span, what="displacement"))
+
+
+@dataclass(frozen=True)
+class LatticeFrame:
+    """A call's positions as whole-span counts k, x = origin + k span, which
+    compare exactly; with span None (continuous) the counts are positions."""
+
+    span: float | None = None
+    origin: float = 0.0      # in [0, span): 0 when the starts sit on span*Z
+
+    @classmethod
+    def through(cls, starts, span: float | None):
+        """(frame, start counts) for a scalar start or an array of them,
+        which on a lattice must share one coset; continuous starts are
+        their own counts, not copied."""
+        x = np.asarray(starts, float)
+        if span is None:
+            return cls(), x
+        first = x.flat[0] if x.size else 0.0
+        origin = float(first - span * lattice_units(first, span, "floor", "start"))
+        frame = cls(span, origin if origin > LATTICE_TOL * span else 0.0)
+        return frame, frame.units(x, what="start (starts share one coset)")
+
+    def units(self, x, how: str = "exact", what: str = "value"):
+        if self.span is None:
+            return np.asarray(x, float)
+        return lattice_units(np.asarray(x, float) - self.origin, self.span, how, what)
+
+    def positions(self, k):
+        """Counts back to positions, where a value leaves the simulation."""
+        if self.span is None or (self.span == 1.0 and self.origin == 0.0):
+            return k
+        return self.origin + k * self.span
 
 
 def drift_sign(d: float) -> int:

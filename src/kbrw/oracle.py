@@ -25,6 +25,7 @@ from .models import (
     IidModel,
     PatternModel,
     lattice_span,
+    lattice_units,
 )
 from .walks import cramer_gamma
 
@@ -49,19 +50,6 @@ class KahanSum:
 
     def __float__(self) -> float:
         return float(self.s)
-
-
-# ---------------------------------------------------------------------------
-# lattice helpers
-
-
-def _to_grid(value: float, span: float, what: str) -> int:
-    if not math.isfinite(value):
-        raise ValueError(f"{what}={value} is not finite")
-    k = value / span
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"{what}={value} is not on the lattice with span {span}")
-    return int(round(k))
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +88,15 @@ def tree_expectations(model, x: float, depth: int, *, barrier: bool = True,
     span = lattice_span(vals)
     if span is None:
         raise ValueError("displacement support is not a lattice")
-    steps = np.array([_to_grid(v, span, "displacement") for v in vals])
-    x_idx = _to_grid(x, span, "start")
-    lvl_idx = None
-    if level is not None:
-        if not math.isfinite(level):
-            raise ValueError(f"level={level} is not finite")
-        # crossing is strict: position index > level/span
-        lvl = level / span
-        lvl_idx = math.floor(lvl + 1e-9)
+    steps = lattice_units(vals, span, what="displacement").astype(int)
+    x_idx = int(lattice_units(x, span, what="start"))
+    # crossing is strict: position index > floor(level/span)
+    lvl_idx = None if level is None else \
+        int(lattice_units(level, span, "floor", "level"))
 
     # measure over position indices, as a dict {index: expected count}
     cur = {x_idx: 1.0}
-    if barrier and x_idx * span < 0:
+    if barrier and x_idx < 0:
         raise ValueError("start below the barrier")
     alive = np.zeros(depth + 1)
     leaves = np.zeros(depth + 1)
@@ -335,10 +319,11 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     span = lattice_span(vals)
     if span is None:
         raise ValueError("step support is not a lattice")
-    steps = [( _to_grid(v, span, "step"), float(p)) for v, p in zip(vals, probs)]
-    xi = _to_grid(x, span, "start")
-    lo = None if lower is None else _to_grid(lower, span, "lower")
-    up = None if upper is None else _to_grid(upper, span, "upper")
+    steps = list(zip(lattice_units(vals, span, what="step").astype(int).tolist(),
+                     probs.tolist()))
+    xi = int(lattice_units(x, span, what="start"))
+    lo = None if lower is None else int(lattice_units(lower, span, what="lower"))
+    up = None if upper is None else int(lattice_units(upper, span, what="upper"))
     if lo is not None and xi < lo:
         raise ValueError("start below lower barrier")
     if up is not None and xi > up:
@@ -399,27 +384,32 @@ def h_chain_marginal(step_values, step_probs, h, x0: float, k: int) -> dict[floa
     ``h`` maps positions to harmonic-function values; transitions are
     p(y->z) proportional to p(z-y) h(z), which is a probability kernel when h
     is harmonic for the killed walk (checked to 1e-9 at every visited y).
+    States are keyed in whole spans and returned as positions k * span.
     """
     vals = np.asarray(step_values, float)
     probs = np.asarray(step_probs, float)
-    cur = {float(x0): 1.0}
+    span = lattice_span(vals)
+    if span is None:
+        raise ValueError("step support is not a lattice")
+    steps = lattice_units(vals, span, what="step").astype(int).tolist()
+    cur = {int(lattice_units(x0, span, what="start")): 1.0}
     for _ in range(k):
-        nxt: dict[float, float] = {}
+        nxt: dict[int, float] = {}
         for y, mass in cur.items():
-            hy = h(y)
+            hy = h(y * span)
             if hy <= 0:
-                raise ValueError(f"h({y}) <= 0 on a reachable state")
+                raise ValueError(f"h({y * span}) <= 0 on a reachable state")
             tot = 0.0
             moves = []
-            for v, p in zip(vals, probs):
-                hz = h(y + v)
-                w = p * hz / hy
+            for s, p in zip(steps, probs):
+                w = p * h((y + s) * span) / hy
                 if w > 0:
-                    moves.append((y + v, w))
+                    moves.append((y + s, w))
                     tot += w
             if abs(tot - 1.0) > 1e-9:
-                raise ArithmeticError(f"h is not harmonic at y={y}: kernel mass {tot}")
+                raise ArithmeticError(
+                    f"h is not harmonic at y={y * span}: kernel mass {tot}")
             for z, w in moves:
                 nxt[z] = nxt.get(z, 0.0) + mass * w
         cur = nxt
-    return cur
+    return {y * span: mass for y, mass in cur.items()}

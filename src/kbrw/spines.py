@@ -12,13 +12,14 @@ h-transform draw with the renewal function as h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import trees
 from .estimates import EstimateWithCI, from_samples
-from .models import PatternModel, _inverse_cdf, _take_runs, size_biased_pmf
+from .models import (LatticeFrame, PatternModel, _inverse_cdf, _take_runs,
+                     in_spans, size_biased_pmf)
 from .walks import (RenewalEstimate, TiltedWalk, h_transform_accept,
                     h_transform_pick, make_tilted_walk, passage_ensemble)
 
@@ -54,6 +55,10 @@ class SpineReproduction:
     sib_flat: np.ndarray | None = None
     sib_offsets: np.ndarray | None = None
     sib_counts: np.ndarray | None = None
+
+    def mapped(self, f) -> "SpineReproduction":
+        return replace(self, model=self.model.mapped(f), choice_z=f(self.choice_z),
+                       sib_flat=None if self.sib_flat is None else f(self.sib_flat))
 
     def signature_table(self) -> dict:
         """Exact law of (spine displacement, litter size); finite models only."""
@@ -208,19 +213,24 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     if x > t:
         return EstimateWithCI(value=1.0, stderr=0.0, n_effective=float("inf"),
                               extra={"rho": rho, "exact": True})
+    # the spine and its siblings live on the start's coset, in whole spans
+    frame, s0 = LatticeFrame.through(x, tw.span)
+    S = np.full(n_replicas, float(s0))
+    pos = frame.positions
+    lo, top = frame.units(0.0, "ceil"), frame.units(t, "floor", "level")
     if renewal is None:
         from .walks import closed_form_renewal
         if tw.span is None:
             raise ValueError("continuous models need an explicit renewal table")
-        # on the start's coset, where the spine and its siblings live: R is
-        # a step function, which interpolation between cosets would misread
-        off = max(0.0, x - tw.span * math.floor(x / tw.span + 1e-9))
-        grid = np.arange(off, t + 4 * tw.span, tw.span)
-        renewal = closed_form_renewal(tw, grid)
+        # on the coset too: R is a step function, which interpolation
+        # between cosets would misread
+        renewal = closed_form_renewal(tw, pos(np.arange(lo, top + 4)))
     R = renewal.evaluate
     L = 0.0 if band_eps <= 0.0 else max(0.0, t - math.log(1.0 / band_eps) / rho)
+    band = frame.units(L, "ceil")
+    rep = in_spans(rep, tw.span)
+    h = lambda k: R(pos(k))
 
-    S = np.full(n_replicas, float(x))
     active = np.ones(n_replicas, bool)
     Mstar = np.zeros(n_replicas)
     dropped = np.zeros(n_replicas)     # expected crosser mass given away
@@ -235,36 +245,37 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         y = S[idx]
         if rep.sib_counts is not None or tw.span is not None:
             # pattern tables always; iid steps only when they live on a lattice
-            keys, pick = h_transform_pick(R, y, rep.choice_z, rep.choice_probs, rng)
-            znew = keys + rep.choice_z[pick]
+            pick = h_transform_pick(h, y, rep.choice_z, rep.choice_probs, rng)
+            znew = y + rep.choice_z[pick]
         else:
             znew = h_transform_accept(R, y, tw.step, renewal, rng)
         if rep.sib_counts is None:
             srep, spos = _iid_litter(rep, y, idx, rng)
         else:
-            srep, spos = _pattern_litter(rep, keys, pick, idx)
+            srep, spos = _pattern_litter(rep, y, pick, idx)
         if srep.size:
-            alive = spos >= 0.0
-            crossed_sib = alive & (spos > t)
+            alive = spos >= lo
+            crossed_sib = alive & (spos > top)
             if crossed_sib.any():
+                v = pos(spos[crossed_sib])
                 Mstar += np.bincount(srep[crossed_sib],
-                                     weights=R(spos[crossed_sib])
-                                     * np.exp(rho * spos[crossed_sib]),
+                                     weights=R(v) * np.exp(rho * v),
                                      minlength=n_replicas)
-            low = alive & ~crossed_sib & (spos < L)
+            low = alive & ~crossed_sib & (spos < band)
             if low.any():
-                dropped += np.bincount(srep[low],
-                                       weights=R(spos[low]) * np.exp(rho * spos[low]),
+                v = pos(spos[low])
+                dropped += np.bincount(srep[low], weights=R(v) * np.exp(rho * v),
                                        minlength=n_replicas)
-            queue = alive & ~crossed_sib & (spos >= L)
+            queue = alive & ~crossed_sib & (spos >= band)
             if queue.any():
                 sib_rep.append(srep[queue])
-                sib_pos.append(spos[queue])
+                sib_pos.append(pos(spos[queue]))
         S[idx] = znew
-        done = znew > t
+        done = znew > top
         if done.any():
             di = idx[done]
-            Mstar[di] += R(S[di]) * np.exp(rho * S[di])
+            v = pos(S[di])
+            Mstar[di] += R(v) * np.exp(rho * v)
             active[di] = False
 
     invalid = np.zeros(n_replicas, bool)
@@ -301,15 +312,14 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     return est
 
 
-def _pattern_litter(rep, keys, pick, idx):
-    """Siblings of every active spine whose (rounded) position ``keys`` drew
-    table row ``pick``, as (replica ids, positions).  They leave in
-    position-group order, which is the order the off-spine forest takes its
-    roots in."""
-    order = np.argsort(keys, kind="stable")
+def _pattern_litter(rep, y, pick, idx):
+    """Siblings of every active spine at ``y`` that drew table row ``pick``,
+    as (replica ids, positions).  They leave in position-group order, which
+    is the order the off-spine forest takes its roots in."""
+    order = np.argsort(y, kind="stable")
     counts = rep.sib_counts[pick[order]]
     return (np.repeat(idx[order], counts),
-            np.repeat(keys[order], counts)
+            np.repeat(y[order], counts)
             + _take_runs(rep.sib_flat, rep.sib_offsets[pick[order]], counts))
 
 

@@ -4,8 +4,11 @@ The simulation modules produce per-tree record tables; everything here is
 post-processing.  Survival curves keep truncated trees as honest lower
 bounds, the two tail laws get their own fit modes (log-log slope when the
 exponent is a free ratio, plateau of n (log n)^2 P(Z>n) at criticality),
-and the plateau's constant c_crit is computed exactly from the tilted walk's
-step law, with no Monte Carlo.  The convolution check samples the heavy-tail
+and c_crit = E[Z_0], the expected progeny from 0, is computed exactly from
+the tilted walk's step law, with no Monte Carlo.  The plateau's constant is
+c_crit R(x) e^{rho* x} from x on a continuous walk; on a lattice of span
+``span`` it carries the arithmetic-renewal factor
+rho* span / (1 - e^{-rho* span}) on top.  The convolution check samples the heavy-tail
 lemma directly, with exact Pareto factors.  Survival, tail-fit and
 convolution tables hold one array of values and one of standard errors over
 their grid, as the walks module's renewal tables do.
@@ -204,6 +207,10 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 def c_crit(model) -> float:
     """c_crit = E_Q[e^{-rho* S_tau} - 1]/(m - 1) at the zero-drift rho* tilt,
     exactly; S_tau is where the tilted walk from 0 first goes below 0.
+
+    It is E[Z_0], the expected progeny of the killed tree from 0.  As a
+    plateau constant it holds on continuous walks; on a lattice of span
+    ``span`` the plateau's constant is c_crit rho* span / (1 - e^{-rho* span}).
 
     A skip-free-down lattice walk lands at S_tau = -span.  For a gaussian
     step, Wiener-Hopf and Spitzer-Baxter make it exp(sum_{n>=1}

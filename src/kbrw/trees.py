@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import EstimateWithCI, from_samples
-from .models import Regime
+from .models import LatticeFrame, Regime, in_spans, lattice_span
 from .walks import make_tilted_walk
 
 LINE_BLOCK = 5000      # replicas per pass of stopped_line_tilted_mass
@@ -77,9 +77,10 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
 
     x is a single start height or one per replica.  Exceeding a cap marks the
     tree truncated and freezes its partial counts; nothing is dropped
-    silently.  Starts and probe_levels must be finite, and the levels must
-    lie above every start.  Overshoots are booked at the top level only, in
-    crossing order; with no level both arrays are empty.
+    silently.  Starts and probe_levels must be finite, the levels must lie
+    above every start, and on a lattice the starts must share one coset.
+    Overshoots are booked at the top level only, in crossing order; with no
+    level both arrays are empty.
 
     Z, leaves and Y are each booked from their own observation (alive
     children, dead children, litter sizes), never one from another.
@@ -88,7 +89,13 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
     levels = np.sort(np.asarray(probe_levels, float))
     if not (np.all(np.isfinite(xarr)) and np.all(np.isfinite(levels))):
         raise ValueError("starts and probe levels must be finite")
-    if np.any(xarr < 0):
+    # on a lattice, positions are whole spans and every comparison is exact
+    mu = model.intensity()
+    frame, fpos = LatticeFrame.through(x, None if mu is None else lattice_span(mu[0]))
+    fpos = np.broadcast_to(fpos, (n_replicas,))
+    barrier = frame.units(0.0, "ceil")         # alive: position >= 0
+    cuts = frame.units(levels, "floor")        # crossed: position > level
+    if np.any(fpos < barrier):
         raise ValueError("root below the barrier")
     regime = model.analytics().regime
     if regime not in (Regime.CRITICAL, Regime.SUBCRITICAL):
@@ -97,8 +104,9 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         raise ValueError("at most 8 probe levels (bitmask bookkeeping)")
     if levels.size and np.any(levels < xarr.max()):
         raise ValueError("probe levels must not lie below a start position")
+    draw = in_spans(model, frame.span)
     nl = levels.size
-    top = levels[-1] if nl else math.inf
+    top = cuts[-1] if nl else math.inf
 
     Z = np.ones(n_replicas, np.int64)
     leaves = np.zeros(n_replicas, np.int64)
@@ -109,7 +117,6 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
     gen_last = np.zeros(n_replicas, np.int64)
     over_ids, over_vals = [], []
 
-    fpos = xarr.astype(float)
     ftree = np.arange(n_replicas, dtype=np.int64)
     # the top level's bit is never set on the frontier, so one level needs no mask
     fmask = np.zeros(n_replicas, np.uint8) if nl > 1 else None
@@ -118,7 +125,7 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
     g = 0
     while ftree.size and g < caps.max_generations:
         g += 1
-        nu, disp = model.spawn(rng, fpos.size)
+        nu, disp = draw.spawn(rng, fpos.size)
         litter = np.add.reduceat(nu, starts)
         over_budget = births[live] + litter > caps.max_particles
         if over_budget.any():
@@ -142,14 +149,14 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
         ctree = np.repeat(ftree, nu)
         cmask = np.repeat(fmask, nu) if fmask is not None else None
         del fpos, ftree, fmask, nu, disp     # spent parents: freed to lower the peak
-        dead_trees, dead = _tally(ctree.take(np.flatnonzero(cpos < 0.0)))
+        dead_trees, dead = _tally(ctree.take(np.flatnonzero(cpos < barrier)))
         leaves[dead_trees] += dead
         for k in range(nl):
             if k == nl - 1:
                 hit = np.flatnonzero(cpos > top)
             else:
                 bit = np.uint8(1 << k)
-                hit = np.flatnonzero((cpos > levels[k]) & ((cmask & bit) == 0))
+                hit = np.flatnonzero((cpos > cuts[k]) & ((cmask & bit) == 0))
                 cmask[hit] |= bit
             if hit.size:
                 ids = ctree.take(hit)
@@ -158,8 +165,8 @@ def simulate_killed_forest(model, x, probe_levels, n_replicas: int, rng,
                 if k == nl - 1:
                     Z[crossed] += count          # alive, but not continued
                     over_ids.append(ids)
-                    over_vals.append(cpos.take(hit) - top)
-        nxt = np.flatnonzero((cpos >= 0.0) & (cpos <= top))
+                    over_vals.append(frame.positions(cpos.take(hit)) - levels[-1])
+        nxt = np.flatnonzero((cpos >= barrier) & (cpos <= top))
         fpos, ftree = cpos.take(nxt), ctree.take(nxt)
         fmask = cmask.take(nxt) if cmask is not None else None
         live, starts = _runs(ftree)

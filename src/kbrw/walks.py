@@ -12,7 +12,8 @@ Conventions (fixed package-wide): the barrier at a is crossed downward when
 S < a strictly and upward when S > a strictly; ascending ladder epochs are
 strict records, descending ladders are strict records of -S; tau_star, the
 return time used by the renewal function, is weak (first j >= 1 with
-S_j >= 0).
+S_j >= 0).  A lattice walk steps in whole spans (``TiltedWalk.sample``), so
+these comparisons are exact at any span.
 
 All simulators take an explicit numpy Generator and are deterministic given
 it; replica-level parallelism is layered on top by the command-line runner
@@ -26,11 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate
-from .models import _inverse_cdf, drift_sign, lattice_span, log_laplace
+from .models import (LatticeFrame, _inverse_cdf, drift_sign, in_spans,
+                     lattice_span, lattice_units, log_laplace)
 
 MASS_TOL = 1e-8          # |psi(rho)| must be below this for a probability tilt
 DEFAULT_MAX_STEPS = 10 ** 7
@@ -55,8 +58,14 @@ class TiltedWalk:
     variance: float          # psi''(rho)
     span: float | None       # lattice span of the step support, None if continuous
 
+    @cached_property
+    def unit_step(self):
+        """The step law in whole spans (``models.in_spans``): what sample draws."""
+        return in_spans(self.step, self.span)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.step.sample(rng, n)
+        """n steps, in whole spans on a lattice."""
+        return self.unit_step.sample(rng, n)
 
     @property
     def drift_sign(self) -> int:
@@ -64,22 +73,14 @@ class TiltedWalk:
         return drift_sign(self.drift)
 
     @property
-    def position_tol(self) -> float:
-        """How far a summed position may sit from a lattice point and still
-        count as on it (a span like 0.1 rounds): 1e-9 span, 0 if continuous."""
-        return 0.0 if self.span is None else 1e-9 * self.span
-
-    @property
     def skip_free_down(self) -> bool:
         """Lowest step -span: every descending ladder height is one span."""
-        return self.span is not None and \
-            abs(float(np.min(self.step.support())) + self.span) <= 1e-12
+        return self.span is not None and self.unit_step.support().min() == -1.0
 
     @property
     def skip_free_up(self) -> bool:
         """Highest step +span: every ascending ladder height is one span."""
-        return self.span is not None and \
-            abs(float(np.max(self.step.support())) - self.span) <= 1e-12
+        return self.span is not None and self.unit_step.support().max() == 1.0
 
 
 def make_tilted_walk(model, rho=None) -> TiltedWalk:
@@ -157,7 +158,8 @@ def _walk_chunks(walk: TiltedWalk, pos: np.ndarray, rng, max_steps: int, visit):
 
     Chunks start at 16 steps and double, capped by the element budget and by
     the steps left; all live rows share the step count t.  ``visit(t, cum)``
-    gets the positions after steps t+1..t+c, one row per live row in order,
+    gets the positions after steps t+1..t+c, one row per live row in order
+    and in whole spans on a lattice (``walk.sample``),
     and returns the start positions of the rows that go on, in order: their
     last positions, or a restart point the caller knows the walk reaches.
     Returns ``(t, pos)``: the steps taken and the positions of the rows still
@@ -185,10 +187,15 @@ def _walk_chunks(walk: TiltedWalk, pos: np.ndarray, rng, max_steps: int, visit):
 @dataclass
 class PassageEnsemble:
     reasons: np.ndarray      # StoppingReason values as int8
-    finals: np.ndarray
+    units: np.ndarray        # final positions as counts of ``frame``
     n_steps: np.ndarray
     lower: float | None
     upper: float | None
+    frame: LatticeFrame
+
+    @property
+    def finals(self) -> np.ndarray:
+        return self.frame.positions(self.units)
 
     @property
     def hit_above(self) -> np.ndarray:
@@ -223,30 +230,29 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
                      max_steps: int = DEFAULT_MAX_STEPS) -> PassageEnsemble:
     """First-passage outcomes for n_replicas independent walks started at x.
 
-    ``x`` may be a scalar or an array of per-replica starts.  Barriers are
-    strict on both sides; a replica that exhausts max_steps is reported as
-    MAX_STEPS, never silently dropped.  On a lattice a position within
-    ``walk.position_tol`` of a barrier sits on it.
+    ``x`` may be a scalar or an array of per-replica starts, on one coset of
+    a lattice walk.  Barriers are strict on both sides; a replica that
+    exhausts max_steps is reported as MAX_STEPS, never silently dropped.
     """
     if lower is None and upper is None:
         raise ValueError("need at least one barrier")
-    tol = walk.position_tol
-    lo = None if lower is None else lower - tol
-    hi = None if upper is None else upper + tol
-    starts = np.broadcast_to(np.asarray(x, float), (n_replicas,)).copy()
+    frame, starts = LatticeFrame.through(x, walk.span)
+    starts = np.broadcast_to(starts, (n_replicas,))
+    lo = None if lower is None else frame.units(lower, "ceil", "lower")
+    hi = None if upper is None else frame.units(upper, "floor", "upper")
     reasons = np.zeros(n_replicas, np.int8)
-    finals = np.empty(n_replicas)
+    units = np.empty(n_replicas)
     steps = np.zeros(n_replicas, np.int64)
 
     # immediate crossings (tau = inf{k >= 0}) resolve before any step
     if hi is not None:
         m = starts > hi
         reasons[m] = StoppingReason.HIT_ABOVE.value
-        finals[m] = starts[m]
+        units[m] = starts[m]
     if lo is not None:
         m = (reasons == 0) & (starts < lo)
         reasons[m] = StoppingReason.HIT_BELOW.value
-        finals[m] = starts[m]
+        units[m] = starts[m]
 
     active = np.flatnonzero(reasons == 0)
 
@@ -264,7 +270,7 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
         if done_rows.size:
             idx = active[done_rows]
             fin = cum[done_rows, stop[done_rows]]
-            finals[idx] = fin
+            units[idx] = fin
             steps[idx] = t + stop[done_rows] + 1
             below = fin < lo if lo is not None else False
             reasons[idx] = np.where(below, StoppingReason.HIT_BELOW.value,
@@ -275,10 +281,10 @@ def passage_ensemble(walk: TiltedWalk, x, n_replicas: int, rng, *,
 
     t, pos = _walk_chunks(walk, starts[active], rng, max_steps, visit)
     reasons[active] = StoppingReason.MAX_STEPS.value
-    finals[active] = pos
+    units[active] = pos
     steps[active] = t
-    return PassageEnsemble(reasons=reasons, finals=finals, n_steps=steps,
-                           lower=lower, upper=upper)
+    return PassageEnsemble(reasons=reasons, units=units, n_steps=steps,
+                           lower=lower, upper=upper, frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,7 @@ def _check_grid(x_grid) -> np.ndarray:
 def _lattice_renewal(grid, span: float, r: float = 1.0) -> RenewalEstimate:
     """Exact R(x) = sum_{k <= floor(x/span)} r^k: every descending ladder
     height is one span and the next ladder exists with probability r."""
-    m = np.floor(grid / span + 1e-9)
+    m = lattice_units(grid, span, "floor", "grid")
     values = m + 1.0 if r == 1.0 else (1.0 - r ** (m + 1)) / (1.0 - r)
     return RenewalEstimate(x_grid=grid, values=values, stderr=np.zeros(grid.size))
 
@@ -378,21 +384,19 @@ def renewal_function(walk: TiltedWalk, x_grid, n_replicas: int, rng, *,
 
 def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
     G = grid.size
-    x_max = grid[-1]
-    # a visit within tol of a lattice point is a visit to it
-    tol = walk.position_tol
-    grid_hi = grid + tol
-    x_lo = -x_max - tol
+    # a visit at S falls in the first bin whose grid point is at least -S;
+    # on a lattice the grid is read in whole spans, rounded down
+    cells = LatticeFrame(walk.span).units(grid, "floor", "grid")
+    x_lo = -cells[-1]
     # A skip-free-up walk (drift >= 0 here) that ends a chunk below the
     # window climbs back through every lattice point on its way to 0, so it
-    # next visits the window at its floor: restart it there and count that
-    # visit.  With no lattice point in the window the floor is 0 itself, the
-    # return that ends the row.  Restarts wait for a chunk's end: inside a
-    # chunk the raw path already counts its return.
-    window_floor = None
-    if walk.skip_free_up:
-        window_floor = -walk.span * math.floor(x_max / walk.span + 1e-9)
-        floor_bin = np.searchsorted(grid_hi, -window_floor)
+    # next visits the window at its floor x_lo: restart it there and count
+    # that visit.  With no lattice point in the window the floor is 0
+    # itself, the return that ends the row.  Restarts wait for a chunk's
+    # end: inside a chunk the raw path already counts its return.
+    restart = walk.skip_free_up
+    if restart:
+        floor_bin = np.searchsorted(cells, -x_lo)
 
     def block_hist(b):
         hist = np.zeros((b, G + 1), np.int64)
@@ -401,7 +405,7 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
         def visit(t, cum):
             nonlocal hist, rows
             c = cum.shape[1]
-            done = cum >= -tol
+            done = cum >= 0.0
             any_done = done.any(axis=1)
             stop = np.where(any_done, np.argmax(done, axis=1), c)
             # count strictly-negative visits before the stop, within window
@@ -409,17 +413,17 @@ def _renewal_visit_count(walk, grid, n_replicas, rng, max_steps):
             live &= cum >= x_lo
             ri, ci = np.nonzero(live)
             if ri.size:
-                bins = np.searchsorted(grid_hi, -cum[ri, ci], side="left")
+                bins = np.searchsorted(cells, -cum[ri, ci], side="left")
                 keys = rows[ri] * (G + 1) + bins
                 hist += np.bincount(keys, minlength=hist.size).reshape(hist.shape)
             go = ~any_done
             rows = rows[go]
             pos = cum[go, -1]
-            if window_floor is not None:
+            if restart:
                 below = pos < x_lo
-                if window_floor < 0:
+                if x_lo < 0:
                     hist[rows[below], floor_bin] += 1
-                    pos[below] = window_floor
+                    pos[below] = x_lo
                 else:
                     rows, pos = rows[~below], pos[~below]
             return pos
@@ -437,6 +441,9 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
         # ladder heights are one span and the ladder sequence never dies:
         # the duality sum 1 + #{n: n*span <= x} is exact with no sampling
         return _lattice_renewal(grid, walk.span)
+    # ladder heights add up in whole spans on a lattice, against the grid
+    # read the same way (a sum T falls in the first bin at or above it)
+    cells = LatticeFrame(walk.span).units(grid, "floor", "grid")
     # drift-up walks terminate their ladder sequence with a Cramer certificate
     cutoff, cert_per_event = (cramer_cutoff(walk.step, x_max + 1.0)
                               if walk.drift_sign > 0 else (None, 0.0))
@@ -447,7 +454,7 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
         hist = np.zeros((b, G + 1), np.int64)
         trunc = np.zeros(b, bool)
         rows = np.arange(b)
-        T = np.zeros(b)              # ladder partial sums per block row
+        T = np.zeros(b)              # ladder partial sums per block row, as counts
         while rows.size:
             # one descending-ladder search for every active row
             ens = passage_ensemble(walk, 0.0, rows.size, rng,
@@ -457,10 +464,10 @@ def _renewal_duality(walk, grid, n_replicas, rng, max_steps):
                 cert_bound += cert_per_event * int(ens.hit_above.sum())
             trunc[rows[ens.truncated]] = True
             idx = rows[found]
-            T[idx] += -ens.finals[found]
-            ok = T[idx] <= x_max
+            T[idx] += -ens.units[found]
+            ok = T[idx] <= cells[-1]
             if ok.any():
-                bins = np.searchsorted(grid, T[idx[ok]], side="left")
+                bins = np.searchsorted(cells, T[idx[ok]], side="left")
                 np.add.at(hist, (idx[ok], bins), 1)
             rows = idx[ok]
         return hist, int(trunc.sum())
@@ -573,8 +580,8 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     The path zeta_1..zeta_n is complete once a ladder epoch lands at or past n.
     Blocks are heavy-tailed for zero-drift walks, so replicas whose covering
     block is still open after max_steps raw steps come back truncated (NaN
-    tail) rather than biased.  On a lattice a record must clear the running
-    maximum by ``walk.position_tol``, so a rounded return to it is no record.
+    tail) rather than biased.  On a lattice the surgery runs in whole spans,
+    so a return to the running maximum is exactly no record.
     """
     n = int(n_steps)
     if n < 0:
@@ -597,7 +604,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
         crun = np.maximum.accumulate(cum, axis=1)
         prev_run = np.concatenate(
             [np.full((na, 1), -np.inf), crun[:, :-1]], axis=1)
-        rec = cum > np.maximum(M[:, None], prev_run) + walk.position_tol
+        rec = cum > np.maximum(M[:, None], prev_run)
 
         er, ec = np.nonzero(rec)        # row-major: events time-ordered per row
         if er.size:
@@ -650,6 +657,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
 
     _walk_chunks(walk, np.zeros(n_replicas), rng, max_steps, visit)
     truncated[orig] = True
+    Z = LatticeFrame(walk.span).positions(Z)
 
     done = ~truncated
     body = Z[done][:, 1:]
@@ -725,7 +733,7 @@ def _h_function(renewal, boundary: str, span: float | None):
     if boundary == "positive":
         if span is not None:
             return lambda z: base(np.maximum(np.asarray(z) - span, -1.0)) \
-                * (np.asarray(z) >= span - 1e-12)
+                * (np.asarray(z) >= span)
         return lambda z: base(np.maximum(z, -1.0)) * (np.asarray(z) > 0.0)
     raise ValueError(f"unknown boundary {boundary!r}")
 
@@ -734,21 +742,20 @@ def h_transform_pick(h, y, z, probs, rng):
     """One h-transformed lattice move from every position in ``y``.
 
     Row i of the (displacement ``z``, probability ``probs``) table is drawn
-    with weight probs[i] * h(y + z[i]).  Positions are grouped after
-    rounding to 9 decimals, and each group in increasing order draws its
-    uniforms and picks its rows by ``models._inverse_cdf``.  Returns the
-    rounded positions and the row picked for each.
+    with weight probs[i] * h(y + z[i]); on a lattice y and z are whole
+    spans, so equal positions are equal floats.  Each group of equal
+    positions, in increasing order, draws its uniforms and picks its rows by
+    ``models._inverse_cdf``.  Returns the row picked for each position.
     """
-    keys = np.round(y, 9)
     pick = np.empty(y.size, np.int64)
-    for y0 in np.unique(keys):
-        rows = np.flatnonzero(keys == y0)
+    for y0 in np.unique(y):
+        rows = np.flatnonzero(y == y0)
         wts = probs * h(y0 + z)
         tot = wts.sum()
         if tot <= 0.0:
             raise ValueError(f"h vanishes on every move from y = {y0}")
         pick[rows] = _inverse_cdf(np.cumsum(wts) / tot, rng.random(rows.size))
-    return keys, pick
+    return pick
 
 
 def h_transform_accept(h, y, step, renewal: RenewalEstimate, rng) -> np.ndarray:
@@ -790,21 +797,23 @@ def conditioned_chain(walk: TiltedWalk, renewal, x0, n_steps: int,
     its last grid point.
     """
     h = _h_function(renewal, boundary, walk.span)
-    pos = np.broadcast_to(np.asarray(x0, float), (n_replicas,)).copy()
+    frame, pos = LatticeFrame.through(x0, walk.span)
+    pos = np.broadcast_to(pos, (n_replicas,))
     out = np.empty((n_replicas, n_steps + 1))
-    out[:, 0] = pos
-    sup = walk.step.support()
+    out[:, 0] = frame.positions(pos)
+    sup = walk.unit_step.support()
     if sup is None and callable(renewal):
         raise ValueError("continuous h-chains need a RenewalEstimate table")
+    h_units = lambda k: h(frame.positions(k))
     for k in range(1, n_steps + 1):
         if sup is not None:
-            keys, pick = h_transform_pick(h, pos, sup, walk.step.probs(), rng)
-            pos = keys + sup[pick]
+            pick = h_transform_pick(h_units, pos, sup, walk.unit_step.probs(), rng)
+            pos = pos + sup[pick]
         else:
             pos = h_transform_accept(h, pos, walk.step, renewal, rng)
             top = renewal.x_grid[-1]
             if np.any(pos > top + 1e-12):
                 raise ValueError(f"renewal table covers [0, {top}]; the chain "
                                  f"reached {float(pos.max()):.3f}, extend the grid")
-        out[:, k] = pos
+        out[:, k] = frame.positions(pos)
     return out

@@ -233,6 +233,24 @@ class TestWalk:
                                "--replicas", 2000, "--seed", 5,
                                "--probe-t", 5, "--max-steps", 2000)
 
+    # sha256 of (records.csv, summary.json), written by kbrw 0.4.0: the
+    # benchmark's renewal-walk commands at a small budget, across versions
+    @pytest.mark.parametrize("extra, pins", [
+        (["--model", "critical-lattice", "--tilt", "star", "--cr-reference", 1.0],
+         ("6fb66cb85965998c43d0f434c1fdf777f09ae2d738de77f4579bc9b8a3002b80",
+          "fa2c0de60ace80d9284673191decaefe85a7ae28c994688faa9fbad875865bae")),
+        (["--model", "two-point", "--tilt", "plus"],
+         ("32ca611142b5c25d750e6d97ba093cfd28e6dd8386f82848491d9b9a79d0d04b",
+          "a45cf88dfdedea9ec91112123593da1c2ed7e649b7c6c7554857d6753bac77d4")),
+    ], ids=["critical-star", "two-point-plus"])
+    def test_bytes_are_pinned(self, tmp_path, extra, pins):
+        out = tmp_path / "walk"
+        assert run_cli("walk", *extra, "--grid", "0:9:1", "--replicas", 3000,
+                       "--seed", 910, "--out", out) == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("records.csv", "summary.json"))
+        assert got == pins
+
 
 class TestSpine:
     def test_lattice_survival_with_naive_overlap(self, tmp_path):
@@ -297,6 +315,23 @@ class TestSpine:
             assert code == 2, (model, extra)
             assert "config error" in capsys.readouterr().err
             assert not out.exists(), (model, extra)
+
+    @pytest.mark.parametrize("model", ["critical-lattice", "critical-gaussian"])
+    @pytest.mark.parametrize("flag", ["--x", "--t"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_start_or_level_is_config_error(self, tmp_path, capsys,
+                                                        model, flag, value):
+        # refused before any draw: a nan level would never stop the spine
+        given = {"--x": 0.0, "--t": 2.0, flag: value}
+        out = tmp_path / "sp"
+        code = run_cli("spine", "--model", model, "--x", given["--x"],
+                       "--t", given["--t"], "--renewal-grid", "0:4:0.5",
+                       "--renewal-replicas", 200, "--replicas", 10,
+                       "--seed", 1, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("model, extra", [
         ("critical-lattice", ["--naive-replicas", 1000]),

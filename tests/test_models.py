@@ -13,6 +13,7 @@ from kbrw.models import (
     FixedOffspring,
     GaussianStep,
     IidModel,
+    LatticeFrame,
     PatternModel,
     PmfOffspring,
     Regime,
@@ -22,7 +23,9 @@ from kbrw.models import (
     critical_lattice_binary,
     find_rho_pm,
     find_rho_star,
+    in_spans,
     lattice_span,
+    lattice_units,
     log_laplace,
     model_from_json,
     model_to_json,
@@ -310,6 +313,47 @@ class TestLatticeSpan:
 
     def test_irrational_mixture_is_not_lattice(self):
         assert lattice_span([1.0, math.sqrt(2.0)]) is None
+
+
+class TestLatticeUnits:
+    def test_exact_counts_are_whole(self):
+        k = lattice_units([0.0, 0.3, 0.9, 2.1, -0.6], 0.3)
+        assert k.tolist() == [0.0, 1.0, 3.0, 7.0, -2.0]
+
+    def test_off_lattice_and_non_finite_are_refused(self):
+        with pytest.raises(ValueError, match="not on the lattice"):
+            lattice_units(0.45, 0.3, what="start")
+        with pytest.raises(ValueError, match="level must be finite"):
+            lattice_units(math.nan, 0.3, "floor", what="level")
+
+    def test_strict_barriers_round_outward_from_off_points(self):
+        # x > 0.45 iff k > 1 and x < 0.45 iff k < 2; a barrier on a lattice
+        # point stays there, float noise and all (3 * 0.3 < 0.9)
+        assert lattice_units([0.45, 3 * 0.3], 0.3, "floor").tolist() == [1.0, 3.0]
+        assert lattice_units([0.45, 3 * 0.3], 0.3, "ceil").tolist() == [2.0, 3.0]
+
+    def test_scaled_law_draws_the_same_uniforms(self):
+        model = IidModel(FixedOffspring(2), TwoPointStep(0.3, -0.3, 0.4))
+        unit = IidModel(FixedOffspring(2), TwoPointStep(1.0, -1.0, 0.4))
+        a = in_spans(model, 0.3).spawn(np.random.default_rng(1), 1000)[1]
+        b = unit.spawn(np.random.default_rng(1), 1000)[1]
+        assert np.array_equal(a, b)
+        c = in_spans(unit, 1.0).spawn(np.random.default_rng(1), 1000)[1]
+        assert np.array_equal(c, b)
+        gauss = critical_binary_gaussian()
+        assert in_spans(gauss, None) is gauss
+
+    def test_frame_counts_from_the_starts_coset(self):
+        frame, k = LatticeFrame.through([0.45, 1.05], 0.3)
+        assert frame.origin == pytest.approx(0.15) and k.tolist() == [1.0, 3.0]
+        assert frame.units(0.0, "ceil") == 0.0 and frame.units(1.0, "floor") == 2.0
+        assert frame.positions(k) == pytest.approx([0.45, 1.05])
+        frame, k = LatticeFrame.through([0.6, 0.9], 0.3)
+        assert frame.origin == 0.0 and k.tolist() == [2.0, 3.0]
+
+    def test_starts_on_two_cosets_are_refused(self):
+        with pytest.raises(ValueError, match="coset"):
+            LatticeFrame.through([0.0, 0.15], 0.3)
 
 
 class TestJsonRoundTrip:

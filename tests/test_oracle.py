@@ -185,3 +185,15 @@ class TestHChainMarginal:
     def test_non_harmonic_h_is_rejected(self):
         with pytest.raises(ArithmeticError):
             h_chain_marginal(*SSRW, lambda y: max(y + 1.0, 0.0) ** 2, 0.0, 2)
+
+    def test_span_scaled_chain_is_the_unit_chain(self):
+        # keyed in whole spans: from 0.6 the +-0.3 chain visits the five
+        # states of the +-1 chain from 2, where float sums split 0 and 0.6
+        # into two keys each
+        def chain(span):
+            h = lambda y: np.floor(y / span + 1e-9) + 1.0
+            return h_chain_marginal([span, -span], [0.5, 0.5], h, 2 * span, 6)
+
+        unit, tenths = chain(1.0), chain(0.3)
+        assert len(unit) == 5
+        assert tenths == {0.3 * y: p for y, p in unit.items()}

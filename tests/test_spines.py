@@ -225,6 +225,21 @@ class TestSurvival:
                                             rng_for_block(411, 1), band_eps=0.0)
         assert abs(off.value - on.value) < 4.0 * pooled_sigma(off, on)
 
+    @pytest.mark.parametrize("span", [0.3, 0.1])
+    def test_span_scaled_lattice_is_the_unit_lattice(self, span):
+        # the +-span spine walks in whole spans: same draws, same weights
+        def run(s):
+            p_up = (2.0 - math.sqrt(3.0)) / 4.0
+            m = models.IidModel(models.FixedOffspring(2),
+                                models.TwoPointStep(s, -s, p_up))
+            return spines.estimate_survival_spine(m, 0.0, 4 * s, 20_000,
+                                                  np.random.default_rng(7),
+                                                  band_eps=0.0)
+        unit, scaled = run(1.0), run(span)
+        assert unit.value == pytest.approx(2.0347e-4, rel=1e-4)
+        assert scaled.value == pytest.approx(unit.value, rel=1e-12, abs=0)
+        assert scaled.stderr == pytest.approx(unit.stderr, rel=1e-12, abs=0)
+
     def test_gaussian_with_estimated_renewal(self):
         m = models.critical_binary_gaussian()
         tw = walks.make_tilted_walk(m, m.analytics().rho_star)

@@ -112,9 +112,22 @@ def pattern_model():
     return model, 0.0, [2.0], 20_000, trees.SimCaps()
 
 
+def scaled_critical(span):
+    """The critical lattice model with its +-1 steps scaled to +-span."""
+    return models.IidModel(models.FixedOffspring(2),
+                           models.TwoPointStep(span, -span,
+                                               (2.0 - math.sqrt(3.0)) / 4.0))
+
+
+def half_span():
+    # a dyadic span: float positions were exact before the whole-span format
+    return scaled_critical(0.5), 0.5, [1.0, 2.0], 5000, trees.SimCaps()
+
+
 # (case, block, sha256) over the counters and the top level's overshoots,
-# computed by the repeat/bincount engine of kbrw 0.2.0; the run-tally
-# engine of 0.3.0 reproduces them
+# computed by the repeat/bincount engine of kbrw 0.2.0 (half_span by the
+# float-position engine of 0.4.0); the run-tally engine of 0.3.0 and the
+# whole-span positions of 0.5.0 reproduce them
 FOREST_DIGESTS = [
     (spine_shaped, 0,
      "7ae550bba66eff2388c5fcc337f415b0bb35a096e913d1252acb9dc7112cbc1c"),
@@ -126,6 +139,8 @@ FOREST_DIGESTS = [
      "f30b2063d7e5c3438e70d7e9f543f37b50ca5b58789ae5b17259d58f4959eea3"),
     (pattern_model, 4,
      "4c32a4fdf1983146dc7d54567985cc5229afa936fb2a1b1732a33379c2126871"),
+    (half_span, 5,
+     "43e9137dafa9f0fa90365d7ca35745a81879d8a15d0a65b3835ad5f53c8302f7"),
 ]
 
 
@@ -166,6 +181,45 @@ class TestSameBytes:
         assert got == [
             "bbd9447500057fb05c4c3d28d1aaf58d8727096cb7768f0520d3a4497348e65b",
             "abfe0dff3f9f04ef6eb6c2577a2e8b10c5e6d98110998abe5bd1b94a1eea2e62"]
+
+
+class TestSpanInvariance:
+    """A +-span forest counts positions in whole spans, so the same draws
+    give the +-1 forest's counters at every span, dyadic or not: summed in
+    floats, 0.6 + 0.3 - 0.3 - 0.3 - 0.3 lands below 0 and kills a child."""
+
+    N = 200_000
+
+    def forest(self, span):
+        return trees.simulate_killed_forest(scaled_critical(span), 2 * span,
+                                            [4 * span, 8 * span], self.N,
+                                            np.random.default_rng(5))
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        return self.forest(1.0)
+
+    @pytest.mark.parametrize("span", [1.0, 0.5, 0.1, 0.3])
+    def test_counters_equal_the_unit_forest(self, unit, span):
+        f = self.forest(span)
+        for name in ("Z", "leaves", "Y", "H", "truncated", "generations"):
+            assert np.array_equal(getattr(f, name), getattr(unit, name)), name
+        assert np.array_equal(f.overshoots[0], unit.overshoots[0])
+        np.testing.assert_allclose(f.overshoots[1], span * unit.overshoots[1],
+                                   rtol=0, atol=1e-12)
+
+    def test_progeny_mean_matches_the_oracle(self):
+        f = self.forest(0.3)
+        exact = oracle.tree_expectations(scaled_critical(0.3), 0.6, 400,
+                                         level=2.4)
+        ez = exact.alive.sum() + exact.crossers.sum()      # 35.387
+        se = f.Z.std(ddof=1) / math.sqrt(self.N)
+        assert abs(f.Z.mean() - ez) <= 4.0 * se
+
+    def test_starts_on_two_cosets_are_refused(self, model_c):
+        with pytest.raises(ValueError, match="coset"):
+            trees.simulate_killed_forest(model_c, [0.0, 0.5], [], 2,
+                                         rng_for_block(300, 2))
 
 
 class TestRuns:

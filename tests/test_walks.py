@@ -242,6 +242,22 @@ class TestRenewal:
         expect = [1.0, 1.0 + R_RUIN, 1.0 + R_RUIN + R_RUIN ** 2]
         assert np.allclose(est.values, expect, atol=1e-12)
 
+    def test_span_scaled_ladder_sums_give_the_unit_table(self):
+        # a drift-up +-span walk counts whole spans: its ladder heights add
+        # up to the +-1 walk's sums from the same seed, with no rounding
+        def table(span):
+            step = models.FiniteStep([-span, span], [0.4, 0.6])
+            _, m1, m2 = step.mgf_parts(0.0)
+            walk = walks.TiltedWalk(rho=0.0, step=step, drift=m1,
+                                    variance=m2 - m1 * m1, span=span)
+            return walks.renewal_function(walk, span * self.GRID, 5000,
+                                          np.random.default_rng(3),
+                                          method="LadderDuality")
+
+        unit = table(1.0)
+        for span in (0.3, 0.1):
+            assert np.array_equal(table(span).values, unit.values), span
+
 
 class TestSkipFree:
     """One direction at a time: the simple walk is skip-free both ways."""
@@ -278,10 +294,11 @@ class TestSkipFree:
         ([-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0],
          lambda x: 8.0 / 9.0 + 2.0 * x / 3.0 + (-0.5) ** x / 9.0),
         ([-1.0, 1.0], [0.5, 0.5], lambda x: np.floor(x) + 1.0),
-        # span 0.1 is no dyadic float: summed positions miss the lattice
-        # points by rounding, and must still count as on them
+        # spans 0.1 and 0.3 are no dyadic floats: the walks count whole
+        # spans, so no rounding moves a visit off its lattice point
         ([-0.1, 0.1], [0.5, 0.5], lambda x: np.floor(x / 0.1 + 1e-9) + 1.0),
-    ], ids=["up-only", "simple", "tenth"])
+        ([-0.3, 0.3], [0.5, 0.5], lambda x: np.floor(x / 0.3 + 1e-9) + 1.0),
+    ], ids=["up-only", "simple", "tenth", "three-tenths"])
     def test_visit_count_restarts_at_the_window_floor(self, values, probs, exact):
         walk = zero_drift_lattice_walk(values, probs)
         assert walk.skip_free_up
@@ -414,14 +431,16 @@ class TestTanaka:
         assert tanaka_ens.truncated_fraction < 0.02
 
     def test_tenth_lattice_records_match_the_unit_lattice(self):
-        # both walks draw the same step indices: a rounded return to the
-        # running maximum on span 0.1 must not read as a new record
-        tenth = zero_drift_lattice_walk([-0.1, 0.1], [0.5, 0.5])
-        unit = zero_drift_lattice_walk([-1.0, 1.0], [0.5, 0.5])
-        a, b = (walks.tanaka_ensemble(w, 50, 2_000, np.random.default_rng(3),
-                                      max_steps=10 ** 5) for w in (tenth, unit))
-        assert a.truncated.tolist() == b.truncated.tolist()
-        np.testing.assert_allclose(10.0 * a.complete(), b.complete(), rtol=0, atol=1e-6)
+        # all three walks draw the same step indices and count whole spans:
+        # a return to the running maximum on span 0.1 or 0.3 is no record
+        unit, *scaled = (
+            walks.tanaka_ensemble(zero_drift_lattice_walk([-s, s], [0.5, 0.5]),
+                                  50, 2_000, np.random.default_rng(3),
+                                  max_steps=10 ** 5)
+            for s in (1.0, 0.1, 0.3))
+        for span, a in zip((0.1, 0.3), scaled):
+            assert a.truncated.tolist() == unit.truncated.tolist()
+            assert np.array_equal(a.complete(), span * unit.complete())
 
 
 class TestMinRecordSampler:
@@ -507,11 +526,10 @@ class TestConditionedChains:
         z = np.array([-1.0, 1.0])
         h = lambda v: np.where(np.asarray(v) > 2.0, 3.0, 1.0)
         us = [0.25, 0.25 - 2.0 ** -54, 1.0 - 2.0 ** -53]
-        keys, pick = walks.h_transform_pick(h, np.full(3, 2.0), z,
-                                            np.array([0.5, 0.5]),
-                                            ScriptedUniforms(us))
+        pick = walks.h_transform_pick(h, np.full(3, 2.0), z,
+                                      np.array([0.5, 0.5]),
+                                      ScriptedUniforms(us))
         assert pick.tolist() == [1, 0, 1]
-        assert keys.tolist() == [2.0] * 3
         assert pick.tolist() == models._inverse_cdf(np.array([0.25, 1.0]),
                                                     np.array(us)).tolist()
 
