@@ -13,7 +13,12 @@ is seeded by a versioned split of (seed, i), and results merge in block
 order, so `--workers 1` and `--workers 8` produce identical files.
 
 Exit codes: 0 success, 2 bad configuration, 3 run dominated by cap breaches
-(truncated fraction above one half).
+(truncated fraction above one half).  Bad input takes one path to exit 2:
+argparse checks each flag's value (a bad, missing or unknown flag), the
+library raises ValueError on input it refuses, and `main` alone turns either
+into a ``config error`` message and returns 2, never raising SystemExit.
+Every command makes all its draws before it creates its run directory, so a
+refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -37,8 +42,13 @@ BLOCK = 1 << 14     # replicas per seed block; fixed so layout is worker-free
 CSV_BLOCK = 1 << 16  # CSV rows formatted and hashed per write
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """Bad input the CLI finds itself; `main` reports it as any ValueError."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +167,7 @@ def _estimate_doc(e) -> dict:
 def _load_model(spec: str):
     try:
         return models.resolve_model(spec)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"model spec {spec!r}: {exc}") from exc
 
 
@@ -194,10 +204,25 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid {spec!r}: {exc}") from exc
 
 
-def _workers(args) -> int:
-    if args.workers < 1:
-        raise ConfigError("workers must be positive")
-    return args.workers
+def _flag_type(parse, ok, need: str):
+    """An argparse ``type=``: ``parse`` the text, then require ``ok`` of it."""
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: need {need}")
+        return value
+    convert.__name__ = parse.__name__  # argparse: "invalid int value: 'x'"
+    return convert
+
+
+_count = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_count = _flag_type(int, lambda v: v >= 0, "a nonnegative integer")
+_finite = _flag_type(float, math.isfinite, "a finite number")
+_positive = _flag_type(float, lambda v: 0 < v < math.inf,
+                       "a positive finite number")
+_negative = _flag_type(float, lambda v: -math.inf < v < 0,
+                       "a negative finite number")
+_band_eps = _flag_type(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -222,41 +247,24 @@ def cmd_simulate(args) -> int:
         raise ConfigError("duplicate levels")
     seed = _parse_seed(args.seed)
     n = args.replicas
-    if n < 1:
-        raise ConfigError("replicas must be positive")
     curve_grid = _parse_grid(args.survival_curve) if args.survival_curve else None
-
-    flags = {"x": args.x, "levels": levels, "replicas": n,
-             "max_particles": args.max_particles,
-             "max_generations": args.max_generations,
-             "survival_curve": args.survival_curve}
 
     model_json = models.model_to_json(model)
     tasks = [(model_json, args.x, tuple(levels), min(BLOCK, n - i * BLOCK),
               seed, i, args.max_particles, args.max_generations)
              for i in range((n + BLOCK - 1) // BLOCK)]
-    workers = _workers(args)
-    try:
-        # the forest checks the start, the levels and the regime before its
-        # first draw; the run directory is made only once the blocks are in
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_sim_block, tasks, chunksize=1))
-        else:
-            parts = [_sim_block(t) for t in tasks]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    run = Run("simulate", _model_doc(model), flags, seed, args.out)
+    # the forest checks the start, the levels and the regime before a draw
+    if args.workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            parts = list(pool.map(_sim_block, tasks, chunksize=1))
+    else:
+        parts = [_sim_block(t) for t in tasks]
 
     Z, leaves, Y, trunc, gens = (
         np.concatenate([getattr(f, k) for f in parts])
         for k in ("Z", "leaves", "Y", "truncated", "generations"))
     H = np.concatenate([f.H for f in parts], axis=1)
-
-    header = ["replica", "Z", "leaves", "Y", "truncated", "generations"] \
-        + [f"H_{_fmt_level(t)}" for t in levels]
-    run.write_csv("records.csv", header,
-                  [np.arange(n), Z, leaves, Y, trunc, gens, *H])
+    del parts  # merged; freed before the CSV write, which sets peak memory
 
     # the identity between the exploration count and the leaf count holds
     # for fully explored trees only: crossers freeze at the top probe level,
@@ -294,6 +302,15 @@ def cmd_simulate(args) -> int:
                 "flagged": [bool(f) for f in tab.flagged],
             }
 
+    flags = {"x": args.x, "levels": levels, "replicas": n,
+             "max_particles": args.max_particles,
+             "max_generations": args.max_generations,
+             "survival_curve": args.survival_curve}
+    run = Run("simulate", summary["model"], flags, seed, args.out)
+    header = ["replica", "Z", "leaves", "Y", "truncated", "generations"] \
+        + [f"H_{_fmt_level(t)}" for t in levels]
+    run.write_csv("records.csv", header,
+                  [np.arange(n), Z, leaves, Y, trunc, gens, *H])
     run.write_json("summary.json", summary)
     return run.finish({"simulate": tf})
 
@@ -339,27 +356,11 @@ def cmd_walk(args) -> int:
     model = _load_model(args.model)
     grid = _parse_grid(args.grid)
     seed = _parse_seed(args.seed)
-    if args.replicas < 1 or args.max_steps < 1:
-        raise ConfigError("replicas and max-steps must be positive")
-    if not 0 < args.probe_t < np.inf:
-        raise ConfigError("probe-t must be positive and finite")
-    if args.cr_reference is not None and not 0 < args.cr_reference < np.inf:
-        raise ConfigError("cr-reference must be positive and finite")
-    try:
-        tw = walks.make_tilted_walk(model, args.tilt)
-        # the grid and the tilt's drift are checked before the first draw
-        visit = walks.renewal_function(tw, grid, args.replicas,
-                                       rng_for_block(seed, 0),
-                                       method="VisitCount",
-                                       max_steps=args.max_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    flags = {"tilt": args.tilt, "grid": [float(g) for g in grid],
-             "replicas": args.replicas, "probe_t": args.probe_t,
-             "max_steps": args.max_steps, "cr_reference": args.cr_reference}
-    run = Run("walk", _model_doc(model), flags, seed, args.out)
-
+    tw = walks.make_tilted_walk(model, args.tilt)
+    # the grid and the tilt's drift are checked before the first draw
+    visit = walks.renewal_function(tw, grid, args.replicas,
+                                   rng_for_block(seed, 0), method="VisitCount",
+                                   max_steps=args.max_steps)
     ladder = walks.renewal_function(tw, grid, args.replicas,
                                     rng_for_block(seed, 1),
                                     method="LadderDuality",
@@ -380,12 +381,6 @@ def cmd_walk(args) -> int:
 
     cr = walks.estimate_C_R(tw, args.replicas, rng_for_block(seed, 2),
                             probe_t=args.probe_t, max_steps=args.max_steps)
-
-    run.write_csv("records.csv",
-                  ["x", "closed_form", "visit", "visit_stderr",
-                   "ladder", "ladder_stderr", "pooled_z"],
-                  [grid, cf, vv, vs, lv, ls, z])
-
     summary = {
         "kind": "walk",
         "model": _model_doc(model),
@@ -401,6 +396,15 @@ def cmd_walk(args) -> int:
         "renewal_truncated_fraction": max(visit.truncated_fraction,
                                           ladder.truncated_fraction),
     }
+
+    flags = {"tilt": args.tilt, "grid": summary["grid"],
+             "replicas": args.replicas, "probe_t": args.probe_t,
+             "max_steps": args.max_steps, "cr_reference": args.cr_reference}
+    run = Run("walk", summary["model"], flags, seed, args.out)
+    run.write_csv("records.csv",
+                  ["x", "closed_form", "visit", "visit_stderr",
+                   "ladder", "ladder_stderr", "pooled_z"],
+                  [grid, cf, vv, vs, lv, ls, z])
     run.write_json("summary.json", summary)
     return run.finish({"renewal": summary["renewal_truncated_fraction"],
                        "first_passage": cr.truncated_fraction})
@@ -414,41 +418,22 @@ def cmd_spine(args) -> int:
     model = _load_model(args.model)
     seed = _parse_seed(args.seed)
     an = model.analytics()
-    for flag in ("x", "t"):
-        if not math.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag} must be finite")
     if args.x < 0:
         raise ConfigError("start must sit at or above the barrier")
     if args.t <= args.x:
         raise ConfigError("level must lie above the start")
-    if args.replicas < 1 or args.renewal_replicas < 1:
-        raise ConfigError("replicas and renewal-replicas must be positive")
-    if args.naive_replicas < 0:
-        raise ConfigError("naive-replicas must be nonnegative")
-    if not 0.0 <= args.band_eps < 1.0:
-        raise ConfigError("band-eps must lie in [0, 1)")
 
-    flags = {"x": args.x, "t": args.t, "replicas": args.replicas,
-             "band_eps": args.band_eps, "naive_replicas": args.naive_replicas,
-             "renewal_grid": args.renewal_grid,
-             "renewal_replicas": args.renewal_replicas}
     renewal = None
-    try:
-        if args.renewal_grid:
-            tw = walks.make_tilted_walk(model)
-            renewal = walks.renewal_function(tw, _parse_grid(args.renewal_grid),
-                                             args.renewal_replicas,
-                                             rng_for_block(seed, 1),
-                                             method="LadderDuality")
-        est = spines.estimate_survival_spine(model, args.x, args.t,
-                                             args.replicas,
-                                             rng_for_block(seed, 0),
-                                             renewal=renewal,
-                                             band_eps=args.band_eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    run = Run("spine", _model_doc(model), flags, seed, args.out)
-
+    if args.renewal_grid:
+        tw = walks.make_tilted_walk(model)
+        renewal = walks.renewal_function(tw, _parse_grid(args.renewal_grid),
+                                         args.renewal_replicas,
+                                         rng_for_block(seed, 1),
+                                         method="LadderDuality")
+    est = spines.estimate_survival_spine(model, args.x, args.t, args.replicas,
+                                         rng_for_block(seed, 0),
+                                         renewal=renewal,
+                                         band_eps=args.band_eps)
     scale = stats.survival_scale(args.t, est.extra["rho"], an.regime)
     summary = {
         "kind": "spine",
@@ -480,6 +465,12 @@ def cmd_spine(args) -> int:
             else 3.0 / args.naive_replicas
         summary["z_spine_vs_naive"] = float(pooled_z(est.value, est.stderr,
                                                      naive.value, naive_se))
+
+    flags = {"x": args.x, "t": args.t, "replicas": args.replicas,
+             "band_eps": args.band_eps, "naive_replicas": args.naive_replicas,
+             "renewal_grid": args.renewal_grid,
+             "renewal_replicas": args.renewal_replicas}
+    run = Run("spine", summary["model"], flags, seed, args.out)
     run.write_json("summary.json", summary)
     return run.finish({"spine": est.truncated_fraction,
                        "renewal": summary["renewal_truncated_fraction"]})
@@ -491,19 +482,7 @@ def cmd_spine(args) -> int:
 
 def cmd_oracle(args) -> int:
     model = _load_model(args.model)
-    flags = {"x": args.x, "depth": args.depth, "level": args.level}
-    try:
-        res = oracle.tree_expectations(model, args.x, args.depth,
-                                       level=args.level)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    run = Run("oracle", _model_doc(model), flags, None, args.out)
-
-    run.write_csv("records.csv",
-                  ["generation", "alive", "leaves", "crossers", "wsum",
-                   "vwsum"],
-                  [np.arange(args.depth + 1), res.alive, res.leaves,
-                   res.crossers, res.wsum, res.vwsum])
+    res = oracle.tree_expectations(model, args.x, args.depth, level=args.level)
     summary = {
         "kind": "oracle",
         "model": _model_doc(model),
@@ -514,6 +493,12 @@ def cmd_oracle(args) -> int:
         "leaves_total": float(np.sum(res.leaves)),
         "expected_crossers_total": res.expected_crossers_total,
     }
+
+    flags = {"x": args.x, "depth": args.depth, "level": args.level}
+    run = Run("oracle", summary["model"], flags, None, args.out)
+    run.write_csv("records.csv", ["generation", "alive", "leaves", "crossers"],
+                  [np.arange(args.depth + 1), res.alive, res.leaves,
+                   res.crossers])
     run.write_json("summary.json", summary)
     return run.finish({})
 
@@ -523,11 +508,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.rho_ratio is not None and not -np.inf < args.rho_ratio < 0:
-        raise ConfigError("rho-ratio must be negative and finite")
-    if args.reference_constant is not None \
-            and not 0 < args.reference_constant < np.inf:
-        raise ConfigError("reference-constant must be positive and finite")
     paths = [Path(p) for p in args.records.split(",")]
     counts, trunc = [], []
     for p in paths:
@@ -557,17 +537,8 @@ def cmd_estimate(args) -> int:
     counts = np.concatenate(counts)
     trunc = np.concatenate(trunc)
     grid = _parse_grid(args.grid)
-
-    flags = {"statistic": args.statistic, "regime": args.regime,
-             "grid": [float(g) for g in grid], "rho_ratio": args.rho_ratio,
-             "reference_constant": args.reference_constant,
-             "records": [str(p) for p in paths]}
     table = stats.survival_curve(counts, grid, truncated=trunc)
-    try:
-        rep = stats.tail_fit(table, args.regime, rho_ratio=args.rho_ratio)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    run = Run("estimate", None, flags, None, args.out)
+    rep = stats.tail_fit(table, args.regime, rho_ratio=args.rho_ratio)
 
     fit = rep.fitted_exponent_or_constant
     ps = rep.values
@@ -576,11 +547,6 @@ def cmd_estimate(args) -> int:
     else:
         expo = -args.rho_ratio if args.rho_ratio is not None else -fit.value
         normalized = ps * rep.grid ** expo
-    run.write_csv("curve.csv",
-                  ["n", "exceedances", "survival", "stderr", "normalized"],
-                  [rep.grid, np.rint(ps * table.n_replicas).astype(np.int64),
-                   ps, rep.stderr, normalized])
-
     summary = {
         "kind": "estimate",
         "statistic": args.statistic,
@@ -598,6 +564,16 @@ def cmd_estimate(args) -> int:
         ratio = fit.value / args.reference_constant
         summary["reference_constant"] = args.reference_constant
         summary["constant_factor"] = float(max(ratio, 1.0 / ratio))
+
+    flags = {"statistic": args.statistic, "regime": args.regime,
+             "grid": [float(g) for g in grid], "rho_ratio": args.rho_ratio,
+             "reference_constant": args.reference_constant,
+             "records": [str(p) for p in paths]}
+    run = Run("estimate", None, flags, None, args.out)
+    run.write_csv("curve.csv",
+                  ["n", "exceedances", "survival", "stderr", "normalized"],
+                  [rep.grid, np.rint(ps * table.n_replicas).astype(np.int64),
+                   ps, rep.stderr, normalized])
     run.write_json("summary.json", summary)
     return run.finish({"input_records": summary["truncated_fraction"]})
 
@@ -823,7 +799,7 @@ def cmd_report(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kbrw",
         description="Branching random walk with killing at the origin: "
                     "simulation, estimation, and verification runs.")
@@ -841,12 +817,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="forward killed-forest replicas")
     model_arg(sp)
-    sp.add_argument("--x", type=float, default=0.0)
+    sp.add_argument("--x", type=_finite, default=0.0)
     sp.add_argument("--levels", default=None,
                     help="comma-separated crossing levels")
-    sp.add_argument("--replicas", type=int, required=True)
+    sp.add_argument("--replicas", type=_count, required=True)
     sp.add_argument("--seed", required=True)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_count, default=1)
     sp.add_argument("--max-particles", type=int,
                     default=trees.SimCaps().max_particles)
     sp.add_argument("--max-generations", type=int,
@@ -861,11 +837,11 @@ def _build_parser() -> argparse.ArgumentParser:
     model_arg(sp)
     sp.add_argument("--tilt", choices=("star", "plus", "minus"), required=True)
     sp.add_argument("--grid", required=True, help="'a:b:step' or 'v1,v2,...'")
-    sp.add_argument("--replicas", type=int, required=True)
+    sp.add_argument("--replicas", type=_count, required=True)
     sp.add_argument("--seed", required=True)
-    sp.add_argument("--probe-t", type=float, default=50.0)
-    sp.add_argument("--max-steps", type=int, default=10 ** 6)
-    sp.add_argument("--cr-reference", type=float, default=None,
+    sp.add_argument("--probe-t", type=_positive, default=50.0)
+    sp.add_argument("--max-steps", type=_count, default=10 ** 6)
+    sp.add_argument("--cr-reference", type=_positive, default=None,
                     help="closed-form first-passage constant, if known")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_walk)
@@ -873,25 +849,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spine", help="rare-event survival probability via "
                                       "the conditioned spine")
     model_arg(sp)
-    sp.add_argument("--x", type=float, default=0.0)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--replicas", type=int, required=True)
+    sp.add_argument("--x", type=_finite, default=0.0)
+    sp.add_argument("--t", type=_finite, required=True)
+    sp.add_argument("--replicas", type=_count, required=True)
     sp.add_argument("--seed", required=True)
-    sp.add_argument("--band-eps", type=float, default=1e-3)
-    sp.add_argument("--naive-replicas", type=int, default=0,
+    sp.add_argument("--band-eps", type=_band_eps, default=1e-3)
+    sp.add_argument("--naive-replicas", type=_nonnegative_count, default=0,
                     help="also run a forward-forest estimate for comparison")
     sp.add_argument("--renewal-grid", default=None,
                     help="grid for a Monte Carlo renewal table "
                          "(required for continuous steps)")
-    sp.add_argument("--renewal-replicas", type=int, default=200_000)
+    sp.add_argument("--renewal-replicas", type=_count, default=200_000)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_spine)
 
     sp = sub.add_parser("oracle", help="exact small-depth expectation tables")
     model_arg(sp)
-    sp.add_argument("--x", type=float, default=0.0)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--level", type=float, default=None)
+    sp.add_argument("--x", type=_finite, default=0.0)
+    sp.add_argument("--depth", type=_nonnegative_count, required=True)
+    sp.add_argument("--level", type=_finite, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_oracle)
 
@@ -902,9 +878,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regime", choices=("critical", "subcritical"),
                     required=True)
     sp.add_argument("--grid", required=True)
-    sp.add_argument("--rho-ratio", type=float, default=None,
+    sp.add_argument("--rho-ratio", type=_negative, default=None,
                     help="reference tail exponent (negative)")
-    sp.add_argument("--reference-constant", type=float, default=None,
+    sp.add_argument("--reference-constant", type=_positive, default=None,
                     help="predicted plateau constant for the critical mode")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_estimate)
@@ -919,10 +895,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -511,6 +511,7 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
     down) (critical) or C_R * P(up before down) (drift-up), both of which
     approach 1; the probe is always Monte Carlo.  ``truncated_fraction`` is
     the larger of the passages' truncated fractions, the probe's included.
+    A budget that leaves nothing to divide by raises ValueError.
     """
     if walk.drift_sign < 0:
         raise ValueError("C_R defined for drift >= 0 tilts")
@@ -523,6 +524,9 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
                                lower=0.0, upper=None, max_steps=max_steps)
         under = ens.undershoots()
+        if under.size < 2:
+            raise ValueError(f"C_R: {under.size} undershoots of {n_replicas} "
+                             "walks, need 2; raise --replicas or --max-steps")
         mean = float(under.mean())
         se_mean = float(under.std(ddof=1) / math.sqrt(under.size))
         est = EstimateWithCI(value=1.0 / mean, stderr=se_mean / mean ** 2,
@@ -534,6 +538,9 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
         ens = passage_ensemble(walk, 0.0, n_replicas, rng,
                                lower=0.0, upper=cutoff, max_steps=max_steps)
         p = binomial_estimate(int(ens.hit_above.sum()), n_replicas)
+        if p.value == 0:
+            raise ValueError(f"C_R: none of {n_replicas} walks escaped to the "
+                             "Cramer cutoff; raise --replicas or --max-steps")
         est = EstimateWithCI(value=1.0 / p.value, stderr=p.stderr / p.value ** 2,
                              n_effective=float(n_replicas),
                              truncated_fraction=ens.truncated_fraction)
@@ -592,15 +599,16 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     if n == 0:
         return TanakaEnsemble(Z, truncated)
 
-    L = 2 * (n + 1)                     # ring of raw positions, covers lookbacks
     orig = np.arange(n_replicas)
     M = np.zeros(n_replicas)            # raw S at the last strict ladder epoch
     sig = np.zeros(n_replicas, np.int64)
-    ring = np.zeros((n_replicas, L))
+    tail = np.zeros((n_replicas, n))    # raw S at steps t - n + 1 .. t
 
     def visit(t, cum):
-        nonlocal orig, M, sig, ring
+        nonlocal orig, M, sig, tail
         na, c = cum.shape
+        # steps t - n + 1 .. t + c: every lookback lies in [tau - n, tau - 1]
+        window = np.concatenate([tail, cum], axis=1)
         crun = np.maximum.accumulate(cum, axis=1)
         prev_run = np.concatenate(
             [np.full((na, 1), -np.inf), crun[:, :-1]], axis=1)
@@ -630,10 +638,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
                 offs = np.arange(total) - np.repeat(starts, ell_k) + 1
                 rep_er = np.repeat(er[keep], ell_k)
                 back = np.repeat(tau[keep], ell_k) - offs
-                incol = back - t - 1
-                ring_vals = ring[rep_er, back % L]
-                s_back = np.where(incol >= 0,
-                                  cum[rep_er, np.maximum(incol, 0)], ring_vals)
+                s_back = window[rep_er, back - t + n - 1]
                 jj = np.repeat(prev_tau[keep], ell_k) + offs
                 Z[np.repeat(orig[er[keep]], ell_k), jj] = \
                     np.repeat(prev_val[keep] + ev_val[keep], ell_k) - s_back
@@ -643,16 +648,10 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
             sig[er[last]] = tau[last]
             M[er[last]] = ev_val[last]
 
-        if c >= L:
-            cols = (np.arange(L) + t + c - L + 1) % L
-            ring[:, cols] = cum[:, c - L:]
-        else:
-            cols = (np.arange(c) + t + 1) % L
-            ring[:, cols] = cum
-
+        tail = window[:, c:]
         alive = sig < n
         if not alive.all():
-            orig, M, sig, ring = (a[alive] for a in (orig, M, sig, ring))
+            orig, M, sig, tail = (a[alive] for a in (orig, M, sig, tail))
         return cum[alive, -1]
 
     _walk_chunks(walk, np.zeros(n_replicas), rng, max_steps, visit)

@@ -137,6 +137,69 @@ class TestExitCodes:
         assert doc["rho_plus"] == pytest.approx(2.0081455391442722, abs=1e-12)
 
 
+# (argv without --out, a word the message must hold): a bad value of each
+# checked flag, a missing and an unknown flag, and an unknown subcommand
+WALK = ["walk", "--model", "two-point", "--tilt", "plus", "--grid", "0:9:1",
+        "--seed", 910]
+SPINE = ["spine", "--model", "critical-lattice", "--t", 2, "--replicas", 10,
+         "--seed", 1]
+ORACLE = ["oracle", "--model", "critical-lattice", "--depth", 3]
+ESTIMATE = ["estimate", "--records", "missing.csv", "--regime", "critical",
+            "--grid", "2,4"]
+SIM = ["simulate", "--model", "critical-lattice", "--seed", 1]
+BAD_INPUT = [
+    (["analyze-model"], "--model"),
+    (["analyze-model", "--model", "two-point", "--depth", 3], "--depth"),
+    ([*SIM], "--replicas"),
+    ([*SIM, "--replicas", 0], "--replicas"),
+    ([*SIM, "--replicas", "1e3"], "--replicas"),
+    ([*SIM, "--replicas", 10, "--workers", 0], "--workers"),
+    ([*SIM, "--replicas", 10, "--x", "nan"], "--x"),
+    # no walk of one escapes the drift-up tilt's cutoff: C_R is 1/0
+    ([*WALK, "--replicas", 1], "--replicas"),
+    # one zero-drift walk, one step: no undershoot to average
+    (["walk", "--model", "critical-gaussian", "--tilt", "star", "--grid",
+      "0:2:1", "--replicas", 1, "--max-steps", 1, "--seed", 1], "--max-steps"),
+    ([*WALK, "--replicas", 0], "--replicas"),
+    ([*WALK, "--replicas", 10, "--max-steps", 0], "--max-steps"),
+    ([*WALK, "--replicas", 10, "--probe-t", "inf"], "--probe-t"),
+    ([*WALK, "--replicas", 10, "--cr-reference=-3"], "--cr-reference"),
+    ([*WALK, "--replicas", 10, "--tilt", "up"], "--tilt"),
+    ([*SPINE, "--t", "nan"], "--t"),
+    ([*SPINE, "--x", "inf"], "--x"),
+    ([*SPINE, "--replicas", 0], "--replicas"),
+    ([*SPINE, "--band-eps", 1], "--band-eps"),
+    ([*SPINE, "--naive-replicas=-5"], "--naive-replicas"),
+    ([*SPINE, "--renewal-replicas", 0], "--renewal-replicas"),
+    (["spine", "--model", "critical-lattice", "--replicas", 10, "--seed", 1],
+     "--t"),
+    ([*ORACLE, "--depth", -1], "--depth"),
+    ([*ORACLE, "--level", "nan"], "--level"),
+    ([*ORACLE, "--x", "inf"], "--x"),
+    ([*ESTIMATE, "--rho-ratio", 0], "--rho-ratio"),
+    ([*ESTIMATE, "--reference-constant", "inf"], "--reference-constant"),
+    ([*ESTIMATE, "--regime", "supercritical"], "--regime"),
+    (["report"], "--runs"),
+    (["no-such-command"], "command"),
+    ([], "command"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, flag", BAD_INPUT,
+                             ids=[" ".join(map(str, a)) for a, _ in BAD_INPUT])
+    def test_returns_2_without_a_run_directory(self, tmp_path, capsys, argv,
+                                               flag):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag in err
+        assert not out.exists()
+
+    def test_drift_up_walk_runs_at_two_replicas(self, tmp_path):
+        assert run_cli(*WALK, "--replicas", 2, "--out", tmp_path / "w") == 0
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test-only dependency: no kbrw module may load it
@@ -211,6 +274,23 @@ class TestWalk:
         d = np.genfromtxt(tmp_path / "walk" / "records.csv", delimiter=",",
                           names=True)
         assert np.array_equal(d["closed_form"], np.arange(10) + 1.0)
+
+    def test_model_without_closed_form(self, tmp_path, capsys):
+        out = tmp_path / "walk"
+        assert run_cli("walk", "--model", "critical-gaussian", "--tilt",
+                       "star", "--grid", "0:2:0.5", "--replicas", 2000,
+                       "--seed", 3, "--out", out) == 0
+        lines = (out / "records.csv").read_text().splitlines()
+        assert lines[0].split(",")[:2] == ["x", "closed_form"]
+        assert [row.split(",")[1] for row in lines[1:]] == [""] * 5
+        s = json.loads((out / "summary.json").read_text())
+        assert s["max_closed_form_rel_err"] is None
+        assert s["cr_rel_err"] is None
+        capsys.readouterr()
+        assert run_cli("report", "--runs", out) == 0
+        row5 = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(" 5  ")]
+        assert len(row5) == 1 and "renewal estimators" in row5[0]
 
     def test_missing_tilt_is_config_error(self, tmp_path, capsys):
         base = {"--model": "critical-lattice", "--tilt": "star",
@@ -349,6 +429,7 @@ class TestOracleCmd:
         assert code == 0
         d = np.genfromtxt(tmp_path / "orc" / "records.csv", delimiter=",",
                           names=True)
+        assert d.dtype.names == ("generation", "alive", "leaves", "crossers")
         res = oracle.tree_expectations(models.critical_lattice_binary(),
                                        0.0, 5, level=3.0)
         assert np.allclose(d["alive"], res.alive)
