@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .estimates import binomial_estimate, pooled_z
 from .seeds import SEED_SCHEME, rng_for_block
 
 BLOCK = 1 << 14     # replicas per seed block; fixed so layout is worker-free
-CSV_BLOCK = 1 << 16  # CSV rows formatted and hashed per write
+CSV_BLOCK = 1 << 16  # CSV rows formatted in numpy and hashed per write
 
 
 class ConfigError(ValueError):
@@ -74,16 +73,58 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _cells(column) -> list[str]:
-    """`_fmt` of every value of a column, by one C-level map per dtype."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "b":
-            column = column.astype(np.uint8)
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-        if column.dtype.kind == "f":
-            return list(map(repr, column.tolist()))
-    return [_fmt(v) for v in column]
+# two ASCII digits per uint16: "00".."99", then the same pairs as the
+# leading pair of a number, a leading zero as NUL ("\0\0", "\0" "1", .., "99")
+_PAIRS = np.frombuffer(
+    b"".join(b"%02d" % i for i in range(100)) + b"\0\0"
+    + b"".join(b"%2d" % i for i in range(1, 100)).replace(b" ", b"\0"),
+    np.uint16)
+
+
+def _digits(column: np.ndarray) -> np.ndarray:
+    """Decimal cells of an integer or bool column, right-aligned in a
+    NUL-padded (rows, width) uint8 array, by divide-by-100 passes over the
+    uint64 magnitudes."""
+    neg = np.flatnonzero(column < 0)
+    if column.dtype.kind == "i":
+        mag = column.astype(np.int64).view(np.uint64)
+        mag[neg] = -mag[neg]  # two's complement: 2**63 for -2**63 too
+    else:
+        mag = column.astype(np.uint64)
+    zero = mag == 0
+    pairs = (len(str(mag.max())) + (len(neg) > 0) + 1) // 2
+    cells = np.empty((len(mag), pairs), np.uint16)
+    for j in range(pairs - 1, -1, -1):
+        q = mag // 100
+        cells[:, j] = _PAIRS.take(np.where(q, mag - 100 * q, mag + 100))
+        mag = q
+    cells = cells.view(np.uint8)
+    cells[zero, -1] = ord("0")
+    if len(neg):
+        first = (cells[neg] != 0).argmax(axis=1)
+        cells[neg, first - 1] = ord("-")
+    return cells
+
+
+def _cells(column) -> np.ndarray:
+    """`_fmt` of every value of a column, as a NUL-padded (rows, width)
+    uint8 array: integers and bools by `_digits`, floats by `repr` and
+    anything else by `_fmt`, cell by cell (grid-sized tables only)."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind in "biu":
+        return _digits(column)
+    text = list(map(repr, column.tolist())) if kind == "f" \
+        else [_fmt(v) for v in column]
+    return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
+
+
+def _rows(cells: list[np.ndarray]) -> np.ndarray:
+    """One uint8 buffer of CSV rows from each column's `_cells`: the cells,
+    a comma after each but the last, a newline per row, padding dropped."""
+    sep = np.full((len(cells[0]), 1), ord(","), np.uint8)
+    table = np.hstack([part for c in cells for part in (c, sep)])
+    table[:, -1] = ord("\n")
+    return table[table != 0]
 
 
 def _fmt_level(t: float) -> str:
@@ -118,21 +159,21 @@ class Run:
 
     def write_csv(self, name: str, header: list[str], columns) -> None:
         """One array or sequence per column, written and hashed CSV_BLOCK
-        rows at a time; the bytes are those of `_fmt` applied row by row."""
+        rows at a time as one byte buffer (`_rows` of `_cells`): no Python
+        object per integer cell, no temporary wider than a block, and the
+        bytes of `_fmt` applied row by row."""
         n = len(columns[0]) if columns else 0
         if any(len(c) != n for c in columns):
             raise ValueError(f"{name}: columns differ in length")
         digest = hashlib.sha256()
         with open(self.output_dir / name, "wb") as fh:
-            def put(lines: str) -> None:
-                data = (lines + "\n").encode()
+            def put(data) -> None:
                 fh.write(data)
                 digest.update(data)
 
-            put(",".join(header))
+            put((",".join(header) + "\n").encode())
             for lo in range(0, n, CSV_BLOCK):
-                cells = [_cells(c[lo:lo + CSV_BLOCK]) for c in columns]
-                put("\n".join(map(",".join, zip(*cells))))
+                put(_rows([_cells(c[lo:lo + CSV_BLOCK]) for c in columns]))
         self.outputs[name] = digest.hexdigest()
 
     def finish(self, truncation: dict) -> int:
@@ -255,6 +296,8 @@ def cmd_simulate(args) -> int:
              for i in range((n + BLOCK - 1) // BLOCK)]
     # the forest checks the start, the levels and the regime before a draw
     if args.workers > 1 and len(tasks) > 1:
+        # imported here: a one-worker run skips loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             parts = list(pool.map(_sim_block, tasks, chunksize=1))
     else:
@@ -264,7 +307,7 @@ def cmd_simulate(args) -> int:
         np.concatenate([getattr(f, k) for f in parts])
         for k in ("Z", "leaves", "Y", "truncated", "generations"))
     H = np.concatenate([f.H for f in parts], axis=1)
-    del parts  # merged; freed before the CSV write, which sets peak memory
+    del parts  # merged; the merge, holding both copies, sets peak memory
 
     # the identity between the exploration count and the leaf count holds
     # for fully explored trees only: crossers freeze at the top probe level,
@@ -676,9 +719,10 @@ def _criterion_rows(runs):
             and all(r <= TOLERANCES["closed_form_rel"] for r in rels) \
             and all(r <= TOLERANCES["cr_rel"] for r in crs)
         add(5, "PASS" if ok else "FAIL",
-            f"max method z {max(zs):.2f}; closed-form rel err "
-            f"{max(rels) if rels else float('nan'):.4f}; C_R rel err "
-            f"{max(crs) if crs else float('nan'):.4f}")
+            f"max method z {max(zs):.2f}; "
+            + (f"closed-form rel err {max(rels):.4f}" if rels
+               else "no closed form") + "; "
+            + (f"C_R rel err {max(crs):.4f}" if crs else "no --cr-reference"))
         probes = [s["C_R"].get("probe_product") for _, s, _ in wks]
         probes = [p for p in probes if p is not None]
         if probes:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbrw import cli, oracle, models
 
@@ -85,6 +85,26 @@ class TestSimulate:
             assert block["grid"] == [4.0, 16.0, 64.0]
             assert block["p"] == sorted(block["p"], reverse=True)
         assert set(s["p_reach"]) == {"2", "4"}
+
+    # sha256 of (records.csv, summary.json), written by kbrw 0.6.0, whose
+    # records write made one Python string per cell: the tail-forest
+    # models at 2^15 trees, one with the H_* columns and the survival curves
+    @pytest.mark.parametrize("extra, pins", [
+        (["--model", "two-point"],
+         ("5b0a779e805dd9ee7f6bf7e427af4ef75cfca4a22dc0fed9b0bd12ace450cd72",
+          "20524374abcca1aafbc7955564f7e4f09133af6c24f8f2b508e9b3df454c4f71")),
+        (["--model", "critical-gaussian", "--levels", "2,4",
+          "--survival-curve", "10,32,100"],
+         ("d3dceb912c33f5d63e854dab561c2bb8e9f883017a39abf20c50b154694e06ff",
+          "599aa32c1a636c8eb30fdce9f02c3f7e52d116ecdab03c9d8b3caacba04bb133")),
+    ], ids=["two-point", "critical-gaussian-levels"])
+    def test_bytes_are_pinned(self, tmp_path, extra, pins):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", *extra, "--replicas", 1 << 15,
+                       "--seed", 930, "--out", out) == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("records.csv", "summary.json"))
+        assert got == pins
 
 
 # binary offspring with N(0,1) steps: drift up, outside both regimes
@@ -201,38 +221,70 @@ class TestBadInput:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_out(self):
-        # scipy is a test-only dependency: no kbrw module may load it
+    @staticmethod
+    def loaded(code: str, *packages: str) -> str:
+        """The modules of ``packages`` a fresh interpreter holds after
+        running ``code``, as a printed sorted list."""
         src = Path(cli.__file__).resolve().parents[1]
-        code = ("import sys, pkgutil, importlib, kbrw; "
-                "[importlib.import_module('kbrw.' + m.name) "
-                "for m in pkgutil.iter_modules(kbrw.__path__)]; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code += ("; import sys; print(sorted(m for m in sys.modules "
+                 f"if m.split('.')[0] in {packages!r}))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency: no kbrw module may load it
+        assert self.loaded("import pkgutil, importlib, kbrw; "
+                           "[importlib.import_module('kbrw.' + m.name) "
+                           "for m in pkgutil.iter_modules(kbrw.__path__)]",
+                           "scipy") == "[]"
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # only `simulate --workers` above 1 starts a process pool
+        assert self.loaded("import kbrw.cli",
+                           "concurrent", "multiprocessing") == "[]"
 
 
 # repr turns to exponent form at 1e-05 and 1e16; 5e-324 and 1e-310 are subnormal
 SPECIAL_FLOATS = [1e-05, 1e16, -0.0, 5e-324, 1e-310, float("inf"),
                   float("-inf"), float("nan")]
+# every cell width from 1 to 20 characters, with the int64 and uint64 ends
+WIDE_INTS = [0, -2 ** 63, 2 ** 63 - 1] + [s * 10 ** k for k in range(19)
+                                          for s in (1, -1)]
+WIDE_UINTS = [0, 2 ** 63, 2 ** 64 - 1] + [10 ** k for k in range(20)]
+
+
+def small_ints(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=8)
 
 
 class TestWriteCsv:
     @given(n=st.sampled_from([0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK,
                               cli.CSV_BLOCK + 1]),
-           ints=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
-                         max_size=8),
+           ints=small_ints(-2 ** 63, 2 ** 63 - 1),
+           int32s=small_ints(-2 ** 31, 2 ** 31 - 1),
+           int8s=small_ints(-2 ** 7, 2 ** 7 - 1),
+           uint8s=small_ints(0, 2 ** 8 - 1),
+           uint64s=small_ints(2 ** 63, 2 ** 64 - 1) | small_ints(0, 2 ** 64 - 1),
            bools=st.lists(st.booleans(), min_size=1, max_size=8),
            floats=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
                            min_size=1, max_size=8))
+    @example(n=cli.CSV_BLOCK + 1, ints=WIDE_INTS, int32s=[-2 ** 31, 2 ** 31 - 1],
+             int8s=[-2 ** 7, 2 ** 7 - 1, 0], uint8s=[0, 2 ** 8 - 1],
+             uint64s=WIDE_UINTS, bools=[True, False], floats=SPECIAL_FLOATS)
     @settings(max_examples=15, deadline=None)
-    def test_bytes_match_rowwise_fmt(self, n, ints, bools, floats):
-        header = ["i", "b", "f", "none"]
+    def test_bytes_match_rowwise_fmt(self, n, ints, int32s, int8s, uint8s,
+                                     uint64s, bools, floats):
+        header = ["i", "i32", "i8", "u8", "u64", "b", "f", "list", "none"]
         columns = [np.resize(np.array(ints, np.int64), n),
+                   np.resize(np.array(int32s, np.int32), n),
+                   np.resize(np.array(int8s, np.int8), n),
+                   np.resize(np.array(uint8s, np.uint8), n),
+                   np.resize(np.array(uint64s, np.uint64), n),
                    np.resize(np.array(bools), n),
-                   np.resize(np.array(floats), n), [None] * n]
+                   np.resize(np.array(floats), n),
+                   [ints[i % len(ints)] for i in range(n)], [None] * n]
         lines = [",".join(header)]
         lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
         want = ("\n".join(lines) + "\n").encode()
@@ -291,6 +343,8 @@ class TestWalk:
         row5 = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith(" 5  ")]
         assert len(row5) == 1 and "renewal estimators" in row5[0]
+        assert "no closed form; no --cr-reference" in row5[0]
+        assert "nan" not in row5[0]
 
     def test_missing_tilt_is_config_error(self, tmp_path, capsys):
         base = {"--model": "critical-lattice", "--tilt": "star",
