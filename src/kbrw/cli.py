@@ -10,7 +10,9 @@ Every run writes into its output directory:
 Reruns with identical config and seed are byte-identical.  The worker count
 never enters the artifacts: replicas are cut into fixed-size blocks, block i
 is seeded by a versioned split of (seed, i), and results merge in block
-order, so `--workers 1` and `--workers 8` produce identical files.
+order, so `--workers 1` and `--workers 8` produce identical files.  Only
+`simulate` (up to `--workers`) and `walk` (its three estimators) fork worker
+processes, never more than the usable CPUs; `taskset -c 0` runs all inline.
 
 Exit codes: 0 success, 2 bad configuration, 3 run dominated by cap breaches
 (truncated fraction above one half).  Bad input takes one path to exit 2:
@@ -27,8 +29,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -267,11 +271,30 @@ _band_eps = _flag_type(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# the task runner, and simulate
 
 
-def _sim_block(task):
-    (model_json, x, levels, count, seed, block, max_particles, max_gens) = task
+def _run(tasks: list, workers: int, order=None):
+    """Yield the results of ``tasks``, picklable zero-argument calls, in list
+    order, raising a task's error at its turn.  They run inline with one
+    task, worker or usable CPU, else on min(workers, tasks, usable CPUs)
+    forked processes that take them in ``order`` (default: list order)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    procs = min(workers, len(tasks), cpus)
+    if procs < 2:
+        yield from (task() for task in tasks)
+        return
+    import multiprocessing  # here: an inline run never loads it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(procs, multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(tasks[i]) for i in order or range(len(tasks))}
+        for i in range(len(tasks)):
+            yield futures.pop(i).result()
+
+
+def _sim_block(model_json, x, levels, count, seed, block, max_particles,
+               max_gens):
     model = models.model_from_json(model_json)
     caps = trees.SimCaps(max_particles=max_particles, max_generations=max_gens)
     return trees.simulate_killed_forest(model, x, list(levels), count,
@@ -291,23 +314,22 @@ def cmd_simulate(args) -> int:
     curve_grid = _parse_grid(args.survival_curve) if args.survival_curve else None
 
     model_json = models.model_to_json(model)
-    tasks = [(model_json, args.x, tuple(levels), min(BLOCK, n - i * BLOCK),
-              seed, i, args.max_particles, args.max_generations)
+    tasks = [partial(_sim_block, model_json, args.x, tuple(levels),
+                     min(BLOCK, n - i * BLOCK), seed, i, args.max_particles,
+                     args.max_generations)
              for i in range((n + BLOCK - 1) // BLOCK)]
     # the forest checks the start, the levels and the regime before a draw
-    if args.workers > 1 and len(tasks) > 1:
-        # imported here: a one-worker run skips loading multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_sim_block, tasks, chunksize=1))
-    else:
-        parts = [_sim_block(t) for t in tasks]
-
-    Z, leaves, Y, trunc, gens = (
-        np.concatenate([getattr(f, k) for f in parts])
-        for k in ("Z", "leaves", "Y", "truncated", "generations"))
-    H = np.concatenate([f.H for f in parts], axis=1)
-    del parts  # merged; the merge, holding both copies, sets peak memory
+    merged = {}
+    for i, forest in enumerate(_run(tasks, args.workers)):
+        for k in ("Z", "leaves", "Y", "truncated", "generations", "H"):
+            part = getattr(forest, k)  # replicas on the last axis
+            if k not in merged:
+                merged[k] = np.empty(part.shape[:-1] + (n,), part.dtype)
+            merged[k][..., i * BLOCK:i * BLOCK + part.shape[-1]] = part
+        # merged; one block at a time is alive beside the merged fields, so
+        # the records write, not the merge, sets peak memory
+        del forest, part
+    Z, leaves, Y, trunc, gens, H = merged.values()
 
     # the identity between the exploration count and the leaf count holds
     # for fully explored trees only: crossers freeze at the top probe level,
@@ -400,14 +422,16 @@ def cmd_walk(args) -> int:
     grid = _parse_grid(args.grid)
     seed = _parse_seed(args.seed)
     tw = walks.make_tilted_walk(model, args.tilt)
-    # the grid and the tilt's drift are checked before the first draw
-    visit = walks.renewal_function(tw, grid, args.replicas,
-                                   rng_for_block(seed, 0), method="VisitCount",
-                                   max_steps=args.max_steps)
-    ladder = walks.renewal_function(tw, grid, args.replicas,
-                                    rng_for_block(seed, 1),
-                                    method="LadderDuality",
-                                    max_steps=args.max_steps)
+    # one stream per stage, C_R (the longest) handed out first; a refusal
+    # surfaces in list order, and drift and grid are checked before a draw
+    renewal = partial(walks.renewal_function, tw, grid, args.replicas,
+                      max_steps=args.max_steps)
+    visit, ladder, cr = _run(
+        [partial(renewal, rng_for_block(seed, 0), method="VisitCount"),
+         partial(renewal, rng_for_block(seed, 1), method="LadderDuality"),
+         partial(walks.estimate_C_R, tw, args.replicas, rng_for_block(seed, 2),
+                 probe_t=args.probe_t, max_steps=args.max_steps)],
+        3, order=(2, 1, 0))
     try:
         closed = walks.closed_form_renewal(tw, grid)
     except ValueError:
@@ -422,8 +446,6 @@ def cmd_walk(args) -> int:
         rel_err = float(max(np.max(np.abs(vv - cf) / cf),
                             np.max(np.abs(lv - cf) / cf)))
 
-    cr = walks.estimate_C_R(tw, args.replicas, rng_for_block(seed, 2),
-                            probe_t=args.probe_t, max_steps=args.max_steps)
     summary = {
         "kind": "walk",
         "model": _model_doc(model),

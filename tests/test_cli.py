@@ -15,6 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from kbrw import cli, oracle, models
 
 
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
@@ -225,11 +228,10 @@ class TestImport:
     def loaded(code: str, *packages: str) -> str:
         """The modules of ``packages`` a fresh interpreter holds after
         running ``code``, as a printed sorted list."""
-        src = Path(cli.__file__).resolve().parents[1]
         code += ("; import sys; print(sorted(m for m in sys.modules "
                  f"if m.split('.')[0] in {packages!r}))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
@@ -241,7 +243,8 @@ class TestImport:
                            "scipy") == "[]"
 
     def test_cli_import_leaves_multiprocessing_out(self):
-        # only `simulate --workers` above 1 starts a process pool
+        # only `simulate --workers` above 1 and `walk` start a process
+        # pool, and only with 2 usable CPUs
         assert self.loaded("import kbrw.cli",
                            "concurrent", "multiprocessing") == "[]"
 
@@ -310,6 +313,15 @@ class TestAnalyzeModel:
         assert json.loads(capsys.readouterr().out)["regime"] == "subcritical"
 
 
+# the benchmark's renewal-walk commands at a small budget
+BENCH_WALKS = [["walk", *extra, "--grid", "0:9:1", "--replicas", 3000,
+                "--seed", 910]
+               for extra in (["--model", "critical-lattice", "--tilt", "star",
+                              "--cr-reference", 1.0],
+                             ["--model", "two-point", "--tilt", "plus"])]
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
 class TestWalk:
     def test_lattice_renewal_table(self, tmp_path, capsys):
         code = run_cli("walk", "--model", "critical-lattice", "--tilt", "star",
@@ -359,7 +371,12 @@ class TestWalk:
             flags = [f"{k}={v}" for k, v in {**base, **bad}.items()]
             code = run_cli("walk", *flags, "--out", tmp_path / "walk")
             assert code == 2, bad
-            assert "config error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error" in err
+            if bad.get("--tilt") == "minus":
+                # all three stages refuse; VisitCount's refusal comes first
+                # whichever stage finishes first
+                assert "renewal function needs drift >= 0" in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert_rerun_identical(tmp_path, "walk", "--model", "two-point",
@@ -370,20 +387,38 @@ class TestWalk:
     # sha256 of (records.csv, summary.json), written by kbrw 0.4.0: the
     # benchmark's renewal-walk commands at a small budget, across versions
     @pytest.mark.parametrize("extra, pins", [
-        (["--model", "critical-lattice", "--tilt", "star", "--cr-reference", 1.0],
+        (BENCH_WALKS[0],
          ("6fb66cb85965998c43d0f434c1fdf777f09ae2d738de77f4579bc9b8a3002b80",
           "fa2c0de60ace80d9284673191decaefe85a7ae28c994688faa9fbad875865bae")),
-        (["--model", "two-point", "--tilt", "plus"],
+        (BENCH_WALKS[1],
          ("32ca611142b5c25d750e6d97ba093cfd28e6dd8386f82848491d9b9a79d0d04b",
           "a45cf88dfdedea9ec91112123593da1c2ed7e649b7c6c7554857d6753bac77d4")),
     ], ids=["critical-star", "two-point-plus"])
     def test_bytes_are_pinned(self, tmp_path, extra, pins):
         out = tmp_path / "walk"
-        assert run_cli("walk", *extra, "--grid", "0:9:1", "--replicas", 3000,
-                       "--seed", 910, "--out", out) == 0
+        assert run_cli(*extra, "--out", out) == 0
         got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("records.csv", "summary.json"))
         assert got == pins
+
+    @pytest.mark.skipif(len(CPUS) < 2, reason="needs 2 usable CPUs: with one, "
+                        "every run is inline")
+    @pytest.mark.parametrize("extra", BENCH_WALKS,
+                             ids=["critical-star", "two-point-plus"])
+    def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, extra):
+        # one usable CPU runs the three stages inline; more fork workers
+        one = min(CPUS)
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {one})),
+                          ("all", None)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kbrw.cli", *map(str, extra),
+                 "--out", tmp_path / name],
+                capture_output=True, text=True, preexec_fn=pin,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert proc.returncode == 0, proc.stderr
+        for f in ("records.csv", "summary.json", "MANIFEST.json"):
+            assert (tmp_path / "one" / f).read_bytes() == \
+                (tmp_path / "all" / f).read_bytes(), f
 
 
 class TestSpine:
