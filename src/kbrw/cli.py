@@ -274,11 +274,23 @@ _band_eps = _flag_type(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 # the task runner, and simulate
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: a worker exits once its parent process is gone, so
+    a killed `kbrw` leaves no worker waiting on the pool's queue."""
+    import threading
+    from multiprocessing import connection, parent_process
+    def watch(sentinel=parent_process().sentinel):
+        connection.wait([sentinel])  # returns once the parent has exited
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _run(tasks: list, workers: int, order=None):
     """Yield the results of ``tasks``, picklable zero-argument calls, in list
     order, raising a task's error at its turn.  They run inline with one
     task, worker or usable CPU, else on min(workers, tasks, usable CPUs)
-    forked processes that take them in ``order`` (default: list order)."""
+    forked processes that take them in ``order`` (default: list order) and
+    exit when this process does."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     procs = min(workers, len(tasks), cpus)
@@ -287,18 +299,11 @@ def _run(tasks: list, workers: int, order=None):
         return
     import multiprocessing  # here: an inline run never loads it
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(procs, multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
+                             initializer=_exit_with_parent) as pool:
         futures = {i: pool.submit(tasks[i]) for i in order or range(len(tasks))}
         for i in range(len(tasks)):
             yield futures.pop(i).result()
-
-
-def _sim_block(model_json, x, levels, count, seed, block, max_particles,
-               max_gens):
-    model = models.model_from_json(model_json)
-    caps = trees.SimCaps(max_particles=max_particles, max_generations=max_gens)
-    return trees.simulate_killed_forest(model, x, list(levels), count,
-                                        rng_for_block(seed, block), caps)
 
 
 def cmd_simulate(args) -> int:
@@ -313,10 +318,9 @@ def cmd_simulate(args) -> int:
     n = args.replicas
     curve_grid = _parse_grid(args.survival_curve) if args.survival_curve else None
 
-    model_json = models.model_to_json(model)
-    tasks = [partial(_sim_block, model_json, args.x, tuple(levels),
-                     min(BLOCK, n - i * BLOCK), seed, i, args.max_particles,
-                     args.max_generations)
+    caps = trees.SimCaps(args.max_particles, args.max_generations)
+    tasks = [partial(trees.simulate_killed_forest, model, args.x, levels,
+                     min(BLOCK, n - i * BLOCK), rng_for_block(seed, i), caps)
              for i in range((n + BLOCK - 1) // BLOCK)]
     # the forest checks the start, the levels and the regime before a draw
     merged = {}
@@ -682,11 +686,19 @@ TOLERANCES = {
     "weighted_tail_rel": 0.10,  # weighted-sum tail constant (11)
 }
 
-_SUITE_ONLY = {2: "runs in the test suite (oracle matrix)",
-               3: "runs in the test suite (many-to-one)",
-               4: "runs in the test suite (martingale means)",
-               7: "runs in the test suite (conditioned walks)",
-               11: "runs in the test suite (weighted-sum tails)"}
+# A SKIP row's note: the runs allow no check of its criterion
+_SKIP = {1: "no simulate runs supplied",
+         2: "runs in the test suite (oracle matrix)",
+         3: "runs in the test suite (many-to-one)",
+         4: "runs in the test suite (martingale means)",
+         5: "no walk runs supplied",
+         6: "no walk runs supplied",
+         7: "runs in the test suite (conditioned walks)",
+         8: "no spine runs supplied",
+         9: "no subcritical tail fits supplied",
+         10: "no critical tail fits supplied",
+         11: "runs in the test suite (weighted-sum tails)",
+         12: "no repeated config hash among supplied runs"}
 
 
 def _load_runs(dirs):
@@ -703,143 +715,108 @@ def _load_runs(dirs):
 
 
 def _criterion_rows(runs):
-    by_kind: dict[str, list] = {}
-    for name, summary, manifest in runs:
-        by_kind.setdefault(summary.get("kind", "?"), []).append(
-            (name, summary, manifest))
-    rows = []
+    """One row per criterion from its (ok, note) checks over ``runs``: SKIP
+    with its reason when there are none, PASS when all hold, else FAIL; the
+    notes are joined by "; "."""
+    kinds: dict[str, list] = {}
+    for _, s, _ in runs:
+        kinds.setdefault(s.get("kind", "?"), []).append(s)
+    checks = {num: [] for num, _ in CRITERIA}
+    skip = dict(_SKIP)
+    tol = TOLERANCES
 
-    def add(num, status, note):
-        title = dict(CRITERIA)[num]
-        rows.append({"criterion": num, "title": title, "status": status,
-                     "note": note})
-
-    sims = by_kind.get("simulate", [])
+    sims = kinds.get("simulate", [])
     if sims:
-        checked = sum(s["identity"]["checked"] for _, s, _ in sims)
-        viol = sum(s["identity"]["violations"] for _, s, _ in sims)
+        checked = sum(s["identity"]["checked"] for s in sims)
+        viol = sum(s["identity"]["violations"] for s in sims)
+        checks[1].append((checked > 0 and viol == 0,
+                          f"{viol} violations over {checked} non-truncated trees"))
         # the gate's truncated-share bound, on the pooled tree count
-        cut = sum(s["truncated_fraction"] * s["n_replicas"] for _, s, _ in sims)
-        share = TOLERANCES["truncated_share"]
-        few_cut = cut <= share * sum(s["n_replicas"] for _, s, _ in sims)
-        add(1, "PASS" if checked > 0 and viol == 0 and few_cut else "FAIL",
-            f"{viol} violations over {checked} non-truncated trees"
-            + ("" if few_cut else f"; {cut:g} trees truncated, over {share:.0%}"))
-    else:
-        add(1, "SKIP", "no simulate runs supplied")
+        cut = sum(s["truncated_fraction"] * s["n_replicas"] for s in sims)
+        share = tol["truncated_share"]
+        if not cut <= share * sum(s["n_replicas"] for s in sims):
+            checks[1].append((False, f"{cut:g} trees truncated, over {share:.0%}"))
 
-    for num in (2, 3, 4, 7, 11):
-        add(num, "SKIP", _SUITE_ONLY[num])
-
-    wks = by_kind.get("walk", [])
+    wks = kinds.get("walk", [])
     if wks:
-        zs = [s["max_method_z"] for _, s, _ in wks]
-        rels = [s["max_closed_form_rel_err"] for _, s, _ in wks
+        z = max(s["max_method_z"] for s in wks)
+        rels = [s["max_closed_form_rel_err"] for s in wks
                 if s["max_closed_form_rel_err"] is not None]
-        crs = [s["cr_rel_err"] for _, s, _ in wks if s["cr_rel_err"] is not None]
-        ok = max(zs) <= TOLERANCES["z"] \
-            and all(r <= TOLERANCES["closed_form_rel"] for r in rels) \
-            and all(r <= TOLERANCES["cr_rel"] for r in crs)
-        add(5, "PASS" if ok else "FAIL",
-            f"max method z {max(zs):.2f}; "
-            + (f"closed-form rel err {max(rels):.4f}" if rels
-               else "no closed form") + "; "
-            + (f"C_R rel err {max(crs):.4f}" if crs else "no --cr-reference"))
-        probes = [s["C_R"].get("probe_product") for _, s, _ in wks]
-        probes = [p for p in probes if p is not None]
+        crs = [s["cr_rel_err"] for s in wks if s["cr_rel_err"] is not None]
+        checks[5] += [
+            (z <= tol["z"], f"max method z {z:.2f}"),
+            (all(r <= tol["closed_form_rel"] for r in rels),
+             f"closed-form rel err {max(rels):.4f}" if rels else "no closed form"),
+            (all(r <= tol["cr_rel"] for r in crs),
+             f"C_R rel err {max(crs):.4f}" if crs else "no --cr-reference")]
+        probes = [s["C_R"]["probe_product"] for s in wks
+                  if s["C_R"].get("probe_product") is not None]
         if probes:
-            band_lo, band_hi = TOLERANCES["probe_band"]
-            ok6 = all(band_lo <= p <= band_hi for p in probes)
-            add(6, "PASS" if ok6 else "FAIL",
-                "probe products " + ", ".join(f"{p:.4f}" for p in probes))
-        else:
-            add(6, "SKIP", "no first-passage probe in walk runs")
-    else:
-        add(5, "SKIP", "no walk runs supplied")
-        add(6, "SKIP", "no walk runs supplied")
+            band_lo, band_hi = tol["probe_band"]
+            checks[6].append((all(band_lo <= p <= band_hi for p in probes),
+                              "probe products "
+                              + ", ".join(f"{p:.4f}" for p in probes)))
+        skip[6] = "no first-passage probe in walk runs"
 
-    sps_runs = by_kind.get("spine", [])
-    if sps_runs:
-        notes, ok8 = [], True
-        for _, s, _ in sps_runs:
-            z = s.get("z_spine_vs_naive")
-            if z is not None:
-                notes.append(f"naive overlap z {z:.2f} at t={s['t']:g}")
-                ok8 &= z <= TOLERANCES["z"]
-        for i, (_, a, _) in enumerate(sps_runs):
-            for _, b, _ in sps_runs[i + 1:]:
-                lo, hi = sorted((a, b), key=lambda s: s["t"])
-                if (lo["model"] == hi["model"] and lo["regime"] == hi["regime"]
-                        and abs(hi["t"] - 2.0 * lo["t"]) < 1e-9 * hi["t"]):
-                    ratio = hi["scaled"]["value"] / lo["scaled"]["value"]
-                    if lo["regime"] == "critical":
-                        f = TOLERANCES["critical_factor"]
-                        good = 1.0 / f <= ratio <= f
-                        band = f"factor {f:g}"
-                    else:
-                        r = TOLERANCES["subcritical_rel"]
-                        good = abs(ratio - 1.0) <= r
-                        band = f"{100 * r:g}%"
-                    ok8 &= good
-                    notes.append(f"scaled ratio t={lo['t']:g}->{hi['t']:g}: "
-                                 f"{ratio:.3f} ({band})")
-        if notes:
-            add(8, "PASS" if ok8 else "FAIL", "; ".join(notes))
-        else:
-            add(8, "SKIP", "no doubled-level pair and no naive overlap")
-    else:
-        add(8, "SKIP", "no spine runs supplied")
+    sps = kinds.get("spine", [])
+    for s in sps:
+        z = s.get("z_spine_vs_naive")
+        if z is not None:
+            checks[8].append((z <= tol["z"],
+                              f"naive overlap z {z:.2f} at t={s['t']:g}"))
+    for i, a in enumerate(sps):
+        for b in sps[i + 1:]:
+            lo, hi = sorted((a, b), key=lambda s: s["t"])
+            if (lo["model"] == hi["model"] and lo["regime"] == hi["regime"]
+                    and abs(hi["t"] - 2.0 * lo["t"]) < 1e-9 * hi["t"]):
+                ratio = hi["scaled"]["value"] / lo["scaled"]["value"]
+                if lo["regime"] == "critical":
+                    f = tol["critical_factor"]
+                    ok, band = 1.0 / f <= ratio <= f, f"factor {f:g}"
+                else:
+                    r = tol["subcritical_rel"]
+                    ok, band = abs(ratio - 1.0) <= r, f"{100 * r:g}%"
+                checks[8].append((ok, f"scaled ratio t={lo['t']:g}->{hi['t']:g}: "
+                                      f"{ratio:.3f} ({band})"))
+    if sps:
+        skip[8] = "no doubled-level pair and no naive overlap"
 
-    ests = by_kind.get("estimate", [])
-    slopes = [(n, s) for n, s, _ in ests if s["mode"] == "SubcriticalSlope"]
-    if slopes:
-        notes, ok9 = [], True
-        for _, s in slopes:
+    for s in kinds.get("estimate", []):
+        if s["mode"] == "SubcriticalSlope":
+            skip[9] = "slope fits lack a reference exponent"
             dev = s["extra"].get("relative_deviation")
-            if dev is None:
-                continue
-            ref = s["extra"]["reference_exponent"]
-            ok9 &= dev <= TOLERANCES["slope_rel"]
-            notes.append(f"slope {s['fit']['value']:.4f} vs {ref:.4f} "
-                         f"({100 * dev:.1f}%)")
-        if notes:
-            add(9, "PASS" if ok9 else "FAIL", "; ".join(notes))
-        else:
-            add(9, "SKIP", "slope fits lack a reference exponent")
-    else:
-        add(9, "SKIP", "no subcritical tail fits supplied")
-
-    plateaus = [(n, s) for n, s, _ in ests if s["mode"] == "CriticalPlateau"]
-    if plateaus:
-        notes, ok10 = [], True
-        for _, s in plateaus:
-            ok10 &= s["diagnostics"] <= TOLERANCES["decade_ratio"]
+            if dev is not None:
+                checks[9].append((dev <= tol["slope_rel"],
+                                  f"slope {s['fit']['value']:.4f} vs "
+                                  f"{s['extra']['reference_exponent']:.4f} "
+                                  f"({100 * dev:.1f}%)"))
+        elif s["mode"] == "CriticalPlateau":
+            ok = s["diagnostics"] <= tol["decade_ratio"]
             note = f"top-decade ratio {s['diagnostics']:.3f}"
             if "constant_factor" in s:
-                ok10 &= s["constant_factor"] <= TOLERANCES["constant_factor"]
+                ok = ok and s["constant_factor"] <= tol["constant_factor"]
                 note += f", constant factor {s['constant_factor']:.3f}"
-            notes.append(note)
-        add(10, "PASS" if ok10 else "FAIL", "; ".join(notes))
-    else:
-        add(10, "SKIP", "no critical tail fits supplied")
+            checks[10].append((ok, note))
 
-    groups: dict[str, set] = {}
-    for _, s, m in runs:
+    # summary digests per config hash, over the runs that carry a MANIFEST
+    digests: dict[str, list] = {}
+    for _, _, m in runs:
         if m is not None and "summary.json" in m.get("outputs", {}):
-            groups.setdefault(m["config_sha256"], set()).add(
+            digests.setdefault(m["config_sha256"], []).append(
                 m["outputs"]["summary.json"])
-    repeated = {h: v for h, v in groups.items()
-                if sum(1 for _, _, m in runs
-                       if m and m["config_sha256"] == h) >= 2}
+    repeated = [len(set(d)) == 1 for d in digests.values() if len(d) >= 2]
     if repeated:
-        ok12 = all(len(v) == 1 for v in repeated.values())
-        add(12, "PASS" if ok12 else "FAIL",
-            f"{len(repeated)} repeated config(s); summaries "
-            + ("all byte-identical" if ok12 else "DIFFER"))
-    else:
-        add(12, "SKIP", "no repeated config hash among supplied runs")
+        checks[12].append((all(repeated),
+                           f"{len(repeated)} repeated config(s); summaries "
+                           + ("all byte-identical" if all(repeated) else "DIFFER")))
 
-    rows.sort(key=lambda r: r["criterion"])
+    rows = []
+    for num, title in CRITERIA:
+        got = checks[num]
+        status = "PASS" if all(ok for ok, _ in got) else "FAIL"
+        rows.append({"criterion": num, "title": title,
+                     "status": status if got else "SKIP",
+                     "note": "; ".join(n for _, n in got) if got else skip[num]})
     return rows
 
 

@@ -426,16 +426,11 @@ def model_from_json(source) -> "_ModelBase":
 # log-Laplace analytics
 
 
-def log_laplace(model, t):
-    """psi, psi', psi'' at t (scalar or 1-d array)."""
-    def at(ti) -> tuple[float, float, float]:
-        m0, m1, m2, ps = model.pattern_mgf_parts(ti)
-        r = m1 / m0
-        return float(ps), float(r), float(m2 / m0 - r * r)
-
-    if np.ndim(t) == 0:
-        return at(float(t))
-    return tuple(np.array([at(ti) for ti in np.asarray(t, float)]).reshape(-1, 3).T)
+def log_laplace(model, t: float) -> tuple[float, float, float]:
+    """psi, psi', psi'' at t."""
+    m0, m1, m2, ps = model.pattern_mgf_parts(float(t))
+    r = m1 / m0
+    return float(ps), float(r), float(m2 / m0 - r * r)
 
 
 def _bisect(f, lo, hi, tol=1e-14, max_iter=200):

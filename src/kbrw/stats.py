@@ -132,10 +132,18 @@ def tail_fit(table: SurvivalTable, regime,
             f"need >= {MIN_POINTS} grid points with >= {MIN_EXCEEDANCES} "
             f"exceedances; achievable grid: {[float(g) for g in ach]}")
     grid, p, sp = table.grid[usable], table.values[usable], table.stderr[usable]
-    if np.any(np.diff(table.exceedances[usable]) > 0):
+    steps = np.diff(table.exceedances[usable])
+    if np.any(steps > 0):
         raise ValueError("survival table is not nonincreasing")
 
     if regime is Regime.SUBCRITICAL:
+        # a tied pair is an increment with variance 0: the weighted fit
+        # would divide by it (the plateau mode keeps ties)
+        tied = np.flatnonzero(steps == 0)
+        if tied.size:
+            raise ValueError(
+                "slope fit needs survival to drop between grid points; tied: "
+                + ", ".join(f"{grid[k]:g} and {grid[k + 1]:g}" for k in tied))
         x = np.log(grid)
         # second-order correction: E[log p_hat] = log p - (1-p)/(2 N p),
         # which matters exactly at the low-count end of the usable grid

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +422,49 @@ class TestWalk:
             assert (tmp_path / "one" / f).read_bytes() == \
                 (tmp_path / "all" / f).read_bytes(), f
 
+    @pytest.mark.skipif(len(CPUS) < 2, reason="needs 2 usable CPUs: with one, "
+                        "every run is inline")
+    def test_workers_exit_when_the_cli_is_killed(self, tmp_path):
+        def stat(pid):
+            """(state, parent pid) of a process, None once it is reaped."""
+            try:
+                text = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return None
+            state, ppid = text.rsplit(")", 1)[1].split()[:2]
+            return state, int(ppid)
+
+        # a fork pool starts all its workers at once: min(3, CPUs) for walk
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kbrw.cli", *map(str, WALK),
+             "--replicas", str(10 ** 6), "--out", tmp_path / "w"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, start_new_session=True)
+        kids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(kids) < min(3, len(CPUS)) and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+                kids = [int(p.name) for p in Path("/proc").iterdir()
+                        if p.name.isdigit()
+                        and (stat(p.name) or ("", 0))[1] == proc.pid]
+            assert len(kids) == min(3, len(CPUS)), kids
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            alive = kids
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.1)
+                alive = [k for k in kids if (stat(k) or ("Z",))[0] != "Z"]
+            assert alive == []
+        finally:
+            try:  # the CLI and any worker left, all in the CLI's group
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
+
 
 class TestSpine:
     def test_lattice_survival_with_naive_overlap(self, tmp_path):
@@ -596,6 +641,17 @@ class TestEstimate:
         assert code == 2
         assert "achievable grid" in capsys.readouterr().err
 
+    def test_tied_subcritical_grid_is_config_error(self, sim_runs, tmp_path,
+                                                   capsys):
+        # two-point progeny is 1, 4, 7, ...: P(Z > 2) = P(Z > 3)
+        code = run_cli("estimate", "--records",
+                       sim_runs / "tp" / "records.csv", "--regime",
+                       "subcritical", "--grid", "2,3,4,6,10",
+                       "--out", tmp_path / "est")
+        assert code == 2
+        assert "tied: 2 and 3" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_missing_column_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         for text, statistic in (("a,b\n1,2\n", "Z"),
@@ -762,6 +818,82 @@ class TestReport:
             rows = json.loads((out / "summary.json").read_text())["rows"]
             got = {row["criterion"]: row["status"] for row in rows}[num]
             assert got == want, (num, summaries, got)
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # synthetic runs that reach every note and every SKIP reason, in
+        # three reports; sha256 of (report.txt, summary.json) of each, as
+        # written by kbrw 0.7.0 before its rows were formed on one path
+        def spine(model, regime, t, scaled, z=None):
+            return {"kind": "spine", "model": {"name": model}, "regime": regime,
+                    "t": t, "scaled": {"value": scaled}, "z_spine_vs_naive": z}
+
+        def estimate(mode, **fields):
+            return {"kind": "estimate", "mode": mode, **fields}
+
+        def rerun(config, digest):
+            return {"config_sha256": config, "outputs": {"summary.json": digest}}
+
+        checked = [
+            ({"kind": "simulate", "n_replicas": 1000, "truncated_fraction": 0.002,
+              "identity": {"checked": 998, "violations": 0}}, None),
+            ({"kind": "simulate", "n_replicas": 1000, "truncated_fraction": 0.05,
+              "identity": {"checked": 950, "violations": 1}}, rerun("c1", "d1")),
+            ({"kind": "walk", "max_method_z": 1.25,
+              "max_closed_form_rel_err": 0.004, "cr_rel_err": 0.03,
+              "C_R": {"probe_product": 0.97}}, rerun("c1", "d1")),
+            ({"kind": "walk", "max_method_z": 2.5,
+              "max_closed_form_rel_err": None, "cr_rel_err": None,
+              "C_R": {"probe_product": 1.2}}, rerun("c2", "d2")),
+            (spine("a", "critical", 4.0, 0.5, z=1.5), rerun("c2", "d3")),
+            (spine("a", "critical", 8.0, 0.6), None),
+            (spine("a", "critical", 5.0, 0.7), None),
+            (spine("b", "subcritical", 3.0, 2.0), None),
+            (spine("b", "subcritical", 6.0, 2.6, z=4.5), None),
+            (estimate("SubcriticalSlope", fit={"value": -2.1},
+                      extra={"reference_exponent": -2.14441,
+                             "relative_deviation": 0.0207}), None),
+            (estimate("SubcriticalSlope", fit={"value": -1.5},
+                      extra={"intercept": 0.1}), None),
+            (estimate("CriticalPlateau", diagnostics=1.8,
+                      constant_factor=1.2), None),
+            (estimate("CriticalPlateau", diagnostics=2.5), None),
+        ]
+        reasons = [
+            ({"kind": "walk", "max_method_z": 0.5,
+              "max_closed_form_rel_err": None, "cr_rel_err": None,
+              "C_R": {}}, None),
+            (spine("a", "critical", 4.0, 1.0), None),
+            (estimate("SubcriticalSlope", fit={"value": -1.5},
+                      extra={"intercept": 0.1}), None),
+        ]
+        empty = [({"kind": "analyze-model"}, None)]
+        got = {}
+        for name, runs in (("checked", checked), ("reasons", reasons),
+                           ("empty", empty)):
+            dirs = []
+            for j, (summary, manifest) in enumerate(runs):
+                d = tmp_path / name / f"run{j}"
+                d.mkdir(parents=True)
+                (d / "summary.json").write_text(json.dumps(summary))
+                if manifest is not None:
+                    (d / "MANIFEST.json").write_text(json.dumps(manifest))
+                dirs.append(str(d))
+            out = tmp_path / name / "rep"
+            assert run_cli("report", "--runs", ",".join(dirs),
+                           "--out", out) == 0
+            got[name] = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                              for f in ("report.txt", "summary.json"))
+        assert got == {
+            "checked": (
+                "72fa8867adab31dbee1eda300a3e67677112c715781d93e3e435504caf882b6e",
+                "e7147f29330afbbafd3f9482a45ca6ec858030cec209631231c85490f677785e"),
+            "reasons": (
+                "f04184a07d21b4bb84f0b4a7bcf5f7feb65fc401e9a56c9637228d6b70148773",
+                "86119c95d3099d2d867a4480feac66b5727fb235cf1dd3c592ee4933a1372acf"),
+            "empty": (
+                "0acfff114df58ce5480aa43f30f073df2ad8601c749167f1962e567c89339c34",
+                "f17079cb64c5660650c08b70242fd10e0f99e7eb6a06b44adf2eb7d599f8070a"),
+        }
 
     def test_missing_summary_is_config_error(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -163,16 +163,6 @@ class TestLogLaplace:
             assert dpsi == pytest.approx(fd1, abs=1e-7)
             assert d2psi == pytest.approx(fd2, abs=1e-5)
 
-    def test_vectorized_matches_scalar(self):
-        m = critical_binary_gaussian()
-        ts = np.linspace(-1.0, 2.0, 7)
-        psi, dpsi, d2psi = log_laplace(m, ts)
-        for i, t in enumerate(ts):
-            p, d, d2 = log_laplace(m, float(t))
-            assert psi[i] == pytest.approx(p)
-            assert dpsi[i] == pytest.approx(d)
-            assert d2psi[i] == pytest.approx(d2)
-
     def test_rho_star_two_strategy_consistency_on_builtin_grid(self):
         # the cross-check inside find_rho_star must hold for every builtin
         for ctor in BUILTIN_MODELS.values():

@@ -70,6 +70,16 @@ class TestTailFit:
         with pytest.raises(ValueError, match=r"achievable grid: \[2\.0, 4\.0\]"):
             stats.tail_fit(tab, "subcritical")
 
+    def test_slope_rejects_tied_points_and_plateau_keeps_them(self):
+        # counts 1, 4, 7, ...: none lies in (4, 5], so P(Z > 4) = P(Z > 5)
+        # and the slope fit's increment variance is 0 there
+        rng = rng_for_block(501, 3)
+        counts = 3.0 * np.floor(pareto(rng, 100_000)) - 2.0
+        tab = stats.survival_curve(counts, [2.0, 4.0, 5.0, 8.0, 16.0])
+        with pytest.raises(ValueError, match="tied: 4 and 5$"):
+            stats.tail_fit(tab, "subcritical")
+        assert stats.tail_fit(tab, "critical").mode == "CriticalPlateau"
+
     def test_rejects_regime_without_tail_law(self):
         rng = rng_for_block(501, 2)
         tab = stats.survival_curve(pareto(rng, 100_000), [2.0, 4.0, 8.0, 16.0])
