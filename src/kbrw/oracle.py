@@ -2,14 +2,17 @@
 
 Two independent engines cross-check the Monte Carlo machinery:
 
-* linear DP over the position lattice for expected counts (killed-tree alive
-  counts, leaf counts, level first-crossers, tilted sums) and for lattice walk
-  functionals (barrier-hitting probabilities, stopped exponentials, ruin);
+* linear DP over the position lattice, each step a convolution with a
+  finite law read in whole spans: killed-tree expected counts by
+  many-to-one (alive, leaves, level first-crossers, tilted sums), lattice
+  walk functionals (barrier hits, stopped exponentials, ruin) and, on
+  mass/h, the marginals of Doob h-transform chains;
 * exhaustive enumeration of every offspring outcome of a small tree, for
   arbitrary functionals, with compensated summation.
 
 Both engines require finite displacement support on a common lattice span;
 models with continuous displacements are checked against closed forms instead.
+The step is kept apart from the walk and forest kernels it checks.
 """
 
 from __future__ import annotations
@@ -20,17 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    FiniteStep,
-    IidModel,
-    PatternModel,
-    lattice_span,
-    lattice_units,
-)
+from .models import (FiniteStep, IidModel, PatternModel, lattice_span,
+                     lattice_units)
 from .walks import cramer_gamma
 
 WALK_DP_TOL = 1e-15           # walk_functional stops once less mass is left
 WALK_DP_MAX_STEPS = 10 ** 6   # ... and raises if that takes longer
+LEVEL_BELOW_START = "the level must not lie below the start"
 
 
 class KahanSum:
@@ -50,6 +49,37 @@ class KahanSum:
 
     def __float__(self) -> float:
         return float(self.s)
+
+
+# ---------------------------------------------------------------------------
+# the killed lattice step, which every DP below iterates
+
+
+def _lattice_law(values, weights, what: str):
+    """(span, first, table): a finite law read once in whole spans, with
+    table[j] the weight of a step of first + j spans (gaps weigh 0)."""
+    span = lattice_span(values)
+    if span is None:
+        raise ValueError(f"{what} support is not a lattice")
+    units = lattice_units(values, span, what=what).astype(int)
+    first = int(units.min())
+    return span, first, np.bincount(units - first,
+                                    weights=np.asarray(weights, float))
+
+
+def _killed_step(mass, base, first, table, lo, hi):
+    """One step of the lattice operator killed below ``lo``.
+
+    ``mass[i]`` sits at lattice point base + i.  The step convolves it with
+    the table; what lands below ``lo`` is killed (kept by landing point),
+    above ``hi`` absorbed (summed); None leaves a side open.  Returns (mass,
+    base, killed, absorbed), where killed[i] landed at base - killed.size + i.
+    """
+    out = np.convolve(mass, table) if mass.size else mass
+    base += first
+    a = 0 if lo is None else min(max(lo - base, 0), out.size)
+    b = out.size if hi is None else max(min(hi + 1 - base, out.size), a)
+    return out[a:b], base + a, out[:a], float(out[b:].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -77,55 +107,36 @@ def tree_expectations(model, x: float, depth: int, *, barrier: bool = True,
     counted in ``leaves``); with ``level`` set, a particle strictly above the
     level is absorbed there (counted in ``crossers``) and not expanded, which
     is the stopping-line bookkeeping.  ``barrier=False`` disables the killing
-    (free tree), for additive-martingale expectations.
+    (free tree), for additive-martingale expectations.  By the many-to-one
+    identity each generation is one killed step of the intensity measure.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     mu = model.intensity()
     if mu is None:
         raise ValueError("oracle DP needs finite displacement support")
-    vals, intens = mu
-    span = lattice_span(vals)
-    if span is None:
-        raise ValueError("displacement support is not a lattice")
-    steps = lattice_units(vals, span, what="displacement").astype(int)
-    x_idx = int(lattice_units(x, span, what="start"))
+    span, first, table = _lattice_law(*mu, "displacement")
+    base = int(lattice_units(x, span, what="start"))
     # crossing is strict: position index > floor(level/span)
-    lvl_idx = None if level is None else \
+    top = None if level is None else \
         int(lattice_units(level, span, "floor", "level"))
-
-    # measure over position indices, as a dict {index: expected count}
-    cur = {x_idx: 1.0}
-    if barrier and x_idx < 0:
+    if barrier and base < 0:
         raise ValueError("start below the barrier")
-    alive = np.zeros(depth + 1)
-    leaves = np.zeros(depth + 1)
-    crossers = np.zeros(depth + 1)
-    wsum = np.zeros(depth + 1)
-    vwsum = np.zeros(depth + 1)
+    if level is not None and level < x:
+        raise ValueError(LEVEL_BELOW_START)
 
-    def tally(g: int) -> None:
-        alive[g] = sum(cur.values())
+    mass = np.ones(1)
+    alive, leaves, crossers, wsum, vwsum = np.zeros((5, depth + 1))
+    for g in range(depth + 1):
+        if g:
+            mass, base, killed, crossers[g] = _killed_step(
+                mass, base, first, table, 0 if barrier else None, top)
+            leaves[g] = killed.sum()
+        alive[g] = mass.sum()
         if rho is not None:
-            wsum[g] = sum(m * math.exp(rho * (k * span)) for k, m in cur.items())
-            vwsum[g] = sum(m * (k * span) * math.exp(rho * (k * span)) for k, m in cur.items())
-
-    tally(0)
-    for g in range(1, depth + 1):
-        nxt: dict[int, float] = {}
-        for k, mass in cur.items():
-            for s, lam in zip(steps, intens):
-                kk = k + int(s)
-                child_mass = mass * lam
-                if barrier and kk < 0:
-                    leaves[g] += child_mass
-                    continue
-                if lvl_idx is not None and kk > lvl_idx:
-                    crossers[g] += child_mass
-                    continue
-                nxt[kk] = nxt.get(kk, 0.0) + child_mass
-        cur = nxt
-        tally(g)
+            v = (base + np.arange(mass.size)) * span
+            w = mass * np.exp(rho * v)
+            wsum[g], vwsum[g] = w.sum(), (v * w).sum()
     return TreeDPResult(alive=alive, leaves=leaves, crossers=crossers,
                         wsum=wsum, vwsum=vwsum)
 
@@ -212,6 +223,8 @@ def enumerate_tree_expectation(model, x: float, depth: int, functional,
 
     if barrier and x < 0:
         raise ValueError("start below the barrier")
+    if level is not None and level < x:
+        raise ValueError(LEVEL_BELOW_START)
     tree = EnumTree(x, alive=(not barrier) or x >= 0.0)
 
     def expandable(i: int) -> bool:
@@ -316,50 +329,37 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     probs = np.asarray(step_probs, float)
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError("step probabilities must sum to 1")
-    span = lattice_span(vals)
-    if span is None:
-        raise ValueError("step support is not a lattice")
-    steps = list(zip(lattice_units(vals, span, what="step").astype(int).tolist(),
-                     probs.tolist()))
-    xi = int(lattice_units(x, span, what="start"))
+    span, first, table = _lattice_law(vals, probs, "step")
+    base = int(lattice_units(x, span, what="start"))
     lo = None if lower is None else int(lattice_units(lower, span, what="lower"))
     up = None if upper is None else int(lattice_units(upper, span, what="upper"))
-    if lo is not None and xi < lo:
+    if lo is not None and base < lo:
         raise ValueError("start below lower barrier")
-    if up is not None and xi > up:
+    if up is not None and base > up:
         raise ValueError("start above upper barrier")
 
-    cur = {xi: 1.0}
-    p_lower = KahanSum()
-    p_upper = KahanSum()
-    e_lower = KahanSum()
-    under: dict[float, float] = {}
+    mass = np.ones(1)
+    u0 = (0 if lo is None else lo) + first
+    under = np.zeros(max(-first, 0))   # under[j]: killed mass landing at u0 + j
+    upper = KahanSum()
     n = 0
     limit = horizon if horizon is not None else WALK_DP_MAX_STEPS
-    while cur and n < limit:
+    while n < limit and mass.any():
         n += 1
-        nxt: dict[int, float] = {}
-        for k, mass in cur.items():
-            for s, p in steps:
-                kk = k + s
-                m = mass * p
-                if lo is not None and kk < lo:
-                    p_lower.add(m)
-                    posn = kk * span
-                    under[posn] = under.get(posn, 0.0) + m
-                    if rho is not None:
-                        e_lower.add(m * math.exp(-rho * posn))
-                    continue
-                if up is not None and kk > up:
-                    p_upper.add(m)
-                    continue
-                nxt[kk] = nxt.get(kk, 0.0) + m
-        cur = nxt
-        if horizon is None and sum(cur.values()) < WALK_DP_TOL:
+        mass, base, killed, absorbed = _killed_step(mass, base, first, table,
+                                                    lo, up)
+        j = base - killed.size - u0
+        under[j:j + killed.size] += killed
+        upper.add(absorbed)
+        if horizon is None and mass.sum() < WALK_DP_TOL:
             break
-    residual = sum(cur.values())
+    residual = float(mass.sum())
     if horizon is None and residual >= WALK_DP_TOL and n >= limit:
         raise RuntimeError(f"walk DP did not absorb within {WALK_DP_MAX_STEPS} steps")
+    p_upper = float(upper)
+    hit = np.flatnonzero(under)
+    landed = (u0 + hit) * span
+    p_lower = math.fsum(under[hit])
 
     # Cramer bound for interpreting the upper cutoff as "never hits lower":
     # gamma > 0 with sum p e^{-gamma v} = 1 exists iff drift > 0, and
@@ -368,13 +368,14 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     err = 0.0
     if up is not None and lo is not None and drift > 0:
         gamma = cramer_gamma(FiniteStep(vals, probs))
-        err = float(p_upper) * math.exp(-gamma * ((up - lo) * span + span))
+        err = p_upper * math.exp(-gamma * ((up - lo) * span + span))
 
     return WalkOracle(
-        p_hit_upper=float(p_upper), p_hit_lower=float(p_lower),
-        p_survive=float(p_upper) if (up is not None and lo is not None and drift > 0) else 0.0,
-        e_rho_lower=float(e_lower) if rho is not None else math.nan,
-        undershoot=under,
+        p_hit_upper=p_upper, p_hit_lower=p_lower,
+        p_survive=p_upper if (up is not None and lo is not None and drift > 0) else 0.0,
+        e_rho_lower=math.nan if rho is None else
+        math.fsum(under[hit] * np.exp(-rho * landed)),
+        undershoot=dict(zip(landed.tolist(), under[hit].tolist())),
         residual_mass=residual, error_bound=err, n_steps=n)
 
 
@@ -386,30 +387,27 @@ def h_chain_marginal(step_values, step_probs, h, x0: float, k: int) -> dict[floa
     is harmonic for the killed walk (checked to 1e-9 at every visited y).
     States are keyed in whole spans and returned as positions k * span.
     """
-    vals = np.asarray(step_values, float)
-    probs = np.asarray(step_probs, float)
-    span = lattice_span(vals)
-    if span is None:
-        raise ValueError("step support is not a lattice")
-    steps = lattice_units(vals, span, what="step").astype(int).tolist()
-    cur = {int(lattice_units(x0, span, what="start")): 1.0}
+    span, first, table = _lattice_law(step_values, step_probs, "step")
+    base = int(lattice_units(x0, span, what="start"))
+    # h once per lattice point w_lo.. reachable in k steps; h <= 0 weighs 0
+    w_lo = base + min(0, k * first)
+    w_hi = base + max(0, k * (first + table.size - 1))
+    hv = np.maximum([h(y * span) for y in range(w_lo, w_hi + 1)], 0.0)
+    ph = np.correlate(hv, table, "valid")     # (P h)(w_lo + i) at ph[i + first]
+    o = base - w_lo                           # q[j] sits at w_lo + o + j
+    if hv[o] <= 0:
+        raise ValueError(f"h({base * span}) <= 0 on a reachable state")
+    q = np.ones(1)                            # mass * h(x0) / h, which P moves
     for _ in range(k):
-        nxt: dict[int, float] = {}
-        for y, mass in cur.items():
-            hy = h(y * span)
-            if hy <= 0:
-                raise ValueError(f"h({y * span}) <= 0 on a reachable state")
-            tot = 0.0
-            moves = []
-            for s, p in zip(steps, probs):
-                w = p * h((y + s) * span) / hy
-                if w > 0:
-                    moves.append((y + s, w))
-                    tot += w
-            if abs(tot - 1.0) > 1e-9:
-                raise ArithmeticError(
-                    f"h is not harmonic at y={y * span}: kernel mass {tot}")
-            for z, w in moves:
-                nxt[z] = nxt.get(z, 0.0) + mass * w
-        cur = nxt
-    return {y * span: mass for y, mass in cur.items()}
+        live = o + np.flatnonzero(q)
+        tot = ph[live + first] / hv[live]
+        bad = np.flatnonzero(np.abs(tot - 1.0) > 1e-9)
+        if bad.size:
+            y = w_lo + int(live[bad[0]])
+            raise ArithmeticError(
+                f"h is not harmonic at y={y * span}: kernel mass {float(tot[bad[0]])}")
+        q, o = np.convolve(q, table), o + first
+        q *= hv[o:o + q.size] > 0
+    mass = q * hv[o:o + q.size] / hv[base - w_lo]
+    live = np.flatnonzero(mass)
+    return dict(zip(((w_lo + o + live) * span).tolist(), mass[live].tolist()))

@@ -20,8 +20,9 @@ from . import trees
 from .estimates import EstimateWithCI, from_samples
 from .models import (LatticeFrame, PatternModel, _inverse_cdf, _take_runs,
                      in_spans, size_biased_pmf)
-from .walks import (RenewalEstimate, TiltedWalk, h_transform_accept,
-                    h_transform_pick, make_tilted_walk, passage_ensemble)
+from .walks import (RenewalEstimate, TiltedWalk, closed_form_renewal,
+                    h_transform_accept, h_transform_pick, make_tilted_walk,
+                    passage_ensemble)
 
 MAX_SPINE_STEPS = 10 ** 6   # a spine still below t after this many is an error
 
@@ -219,7 +220,6 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     pos = frame.positions
     lo, top = frame.units(0.0, "ceil"), frame.units(t, "floor", "level")
     if renewal is None:
-        from .walks import closed_form_renewal
         if tw.span is None:
             raise ValueError("continuous models need an explicit renewal table")
         # on the coset too: R is a step function, which interpolation

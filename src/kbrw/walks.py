@@ -32,14 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from .estimates import EstimateWithCI, binomial_estimate
-from .models import (LatticeFrame, _inverse_cdf, drift_sign, in_spans,
-                     lattice_span, lattice_units, log_laplace)
+from .models import (GaussianStep, LatticeFrame, _inverse_cdf, drift_sign,
+                     in_spans, lattice_span, lattice_units, log_laplace)
 
 MASS_TOL = 1e-8          # |psi(rho)| must be below this for a probability tilt
 DEFAULT_MAX_STEPS = 10 ** 7
 _MEM_ELEMENTS = 1 << 23  # soft cap on elements per simulation chunk
 RENEWAL_BLOCK = 1 << 15  # replicas per renewal pass; fixes the stream layout
-H1_REPLICAS = 200_000    # Monte Carlo budget of first_ladder_height_mean
 
 
 class StoppingReason(Enum):
@@ -568,6 +567,7 @@ def estimate_C_R(walk: TiltedWalk, n_replicas: int, rng, *,
 class TanakaEnsemble:
     zeta: np.ndarray         # (n_replicas, n_steps + 1); NaN tail where truncated
     truncated: np.ndarray    # replicas whose covering block never completed
+    first_ladder: np.ndarray  # first strict ascending ladder epoch; 0 if none
 
     @property
     def truncated_fraction(self) -> float:
@@ -585,6 +585,7 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     just-completed block reversed and reflected: for sigma' < j <= sigma the
     conditioned value is zeta_j = S_{sigma'} + S_sigma - S_{sigma - (j - sigma')}.
     The path zeta_1..zeta_n is complete once a ladder epoch lands at or past n.
+    The first block ends at the first ladder epoch T_1 in the minimum, H_1.
     Blocks are heavy-tailed for zero-drift walks, so replicas whose covering
     block is still open after max_steps raw steps come back truncated (NaN
     tail) rather than biased.  On a lattice the surgery runs in whole spans,
@@ -596,8 +597,9 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     Z = np.full((n_replicas, n + 1), np.nan)
     Z[:, 0] = 0.0
     truncated = np.zeros(n_replicas, bool)
+    first_ladder = np.zeros(n_replicas, np.int64)
     if n == 0:
-        return TanakaEnsemble(Z, truncated)
+        return TanakaEnsemble(Z, truncated, first_ladder)
 
     orig = np.arange(n_replicas)
     M = np.zeros(n_replicas)            # raw S at the last strict ladder epoch
@@ -627,6 +629,8 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
             later = np.flatnonzero(~first)
             prev_tau[later] = tau[later - 1]
             prev_val[later] = ev_val[later - 1]
+            t1 = prev_tau == 0
+            first_ladder[orig[er[t1]]] = tau[t1]
 
             hi = np.minimum(tau, n)
             ell = hi - prev_tau
@@ -662,24 +666,22 @@ def tanaka_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     body = Z[done][:, 1:]
     assert not np.isnan(body).any() and (body > 0.0).all(), \
         "conditioned path must be strictly positive"
-    return TanakaEnsemble(Z, truncated)
+    return TanakaEnsemble(Z, truncated, first_ladder)
 
 
-def first_ladder_height_mean(walk: TiltedWalk, rng) -> tuple:
-    """(E[H_1], stderr, truncated_fraction) for the first strict ascending ladder.
+def first_ladder_height_mean(walk: TiltedWalk) -> float:
+    """E[H_1] for the first strict ascending ladder, exactly.
 
-    Skip-free-up lattice walks (max step = +span) have H_1 = span exactly;
-    otherwise Monte Carlo with truncated replicas excluded and reported.
+    Skip-free-up lattice walks (max step = +span) have H_1 = span; a
+    zero-drift gaussian step has E[H_1] = sigma / sqrt(2) (Spitzer's
+    formula, since P(S_n > 0) = 1/2 for every n).  Other laws are refused.
     """
     if walk.skip_free_up:
-        return walk.span, 0.0, 0.0
-    ens = passage_ensemble(walk, 0.0, H1_REPLICAS, rng,
-                           lower=None, upper=0.0, max_steps=10 ** 6)
-    h = ens.finals[ens.hit_above]
-    if h.size == 0:
-        raise RuntimeError("no ladder epochs observed; drift too negative?")
-    return (float(h.mean()), float(h.std(ddof=1) / math.sqrt(h.size)),
-            ens.truncated_fraction)
+        return walk.span
+    if isinstance(walk.step, GaussianStep) and walk.drift_sign == 0:
+        return walk.step.sigma / math.sqrt(2.0)
+    raise ValueError("E[H_1] is known exactly only for skip-free-up lattice "
+                     "walks and zero-drift gaussian steps")
 
 
 @dataclass
@@ -687,9 +689,8 @@ class MinRecordEnsemble:
     zeta: np.ndarray         # underlying conditioned paths
     weights: np.ndarray      # zeta at the last-min epoch / E[H_1]
     sigma_tilde: np.ndarray  # last epoch achieving the running minimum
-    flagged: np.ndarray      # truncated, or sigma_tilde inside the guard window
+    flagged: np.ndarray      # truncated, or first ladder epoch past n
     e_h1: float
-    e_h1_stderr: float
 
     def valid(self) -> np.ndarray:
         return ~self.flagged
@@ -700,25 +701,24 @@ def hat_s_ensemble(walk: TiltedWalk, n_steps: int, n_replicas: int, rng, *,
     """Reweighted conditioned paths whose weighted law is the min-record chain.
 
     Weight = zeta_{sigma_tilde} / E[H_1] with sigma_tilde the last epoch in
-    1..n at the path minimum.  A sample whose sigma_tilde falls within a
-    guard of max(1, n/5) epochs of the horizon cannot be certified as final
-    (a later epoch could still undercut the minimum) and is flagged; flagged
-    samples carry weight but should be excluded and accounted by the caller.
+    1..n at the path minimum, final (H_1 at the first ladder epoch T_1)
+    exactly when T_1 <= n.  A sample with T_1 > n is flagged: it carries
+    weight but should be excluded and accounted by the caller, so the valid
+    weights average E[H_1 | T_1 <= n] / E[H_1], which tends to 1.
     """
     n = int(n_steps)
     if n < 1:
         raise ValueError("need n_steps >= 1")
-    guard = max(1, n // 5)
-    e_h1 = first_ladder_height_mean(walk, rng)
+    e_h1 = first_ladder_height_mean(walk)
     tk = tanaka_ensemble(walk, n, n_replicas, rng, max_steps=max_steps)
     body = np.where(np.isnan(tk.zeta[:, 1:]), np.inf, tk.zeta[:, 1:])
     rev_arg = body.shape[1] - 1 - np.argmin(body[:, ::-1], axis=1)
     sigma = rev_arg + 1
-    weights = body[np.arange(n_replicas), rev_arg] / e_h1[0]
-    flagged = tk.truncated | (sigma > n - guard)
+    weights = body[np.arange(n_replicas), rev_arg] / e_h1
+    flagged = tk.truncated | (tk.first_ladder > n)
     weights[tk.truncated] = np.nan
     return MinRecordEnsemble(zeta=tk.zeta, weights=weights, sigma_tilde=sigma,
-                             flagged=flagged, e_h1=e_h1[0], e_h1_stderr=e_h1[1])
+                             flagged=flagged, e_h1=e_h1)
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,15 @@ class TestOracleCmd:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "orc").exists()
 
+    def test_level_below_start_is_config_error(self, tmp_path, capsys):
+        # simulate refuses the same config; a start above the level is not
+        # a first crosser of it
+        code = run_cli("oracle", "--model", "critical-lattice", "--x", 5,
+                       "--depth", 3, "--level", 2, "--out", tmp_path / "orc")
+        assert code == 2
+        assert "below the start" in capsys.readouterr().err
+        assert not (tmp_path / "orc").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         assert_rerun_identical(tmp_path, "oracle", "--model", "two-point",
                                "--depth", 6, "--level", 2)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbrw.models import (
     FixedOffspring,
@@ -25,6 +26,8 @@ SQRT6 = math.sqrt(6.0)
 RHO_LAT = math.log(2.0 + math.sqrt(3.0))
 
 SSRW = ([1.0, -1.0], [0.5, 0.5])
+# zero-drift walk with a gap in its support: -2 w.p. 1/3, +1 w.p. 2/3
+GAP = ([-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0])
 
 
 class TestTreeDP:
@@ -99,6 +102,29 @@ class TestEnumerationAgainstDP:
         res = enumerate_tree_expectation(m, 0.0, 2, lambda t: t.crossers(), level=1.0)
         assert res.value == pytest.approx(dp.crossers.sum(), abs=1e-12)
 
+    def test_support_with_gaps_agrees_with_dp(self):
+        # displacements {-2, 1, 3}: the DP's step table holds zeros at -1, 0, 2
+        m = PatternModel([(0.4, (1.0, -2.0)), (0.35, (3.0,)),
+                          (0.25, (1.0, 1.0, -2.0))])
+        for x, level in ((1.0, 3.0), (0.0, 2.0)):
+            dp = tree_expectations(m, x, 3, level=level)
+            for functional, exact in (
+                    (lambda t: t.crossers(), dp.crossers.sum()),
+                    (lambda t: t.leaves_killed(), dp.leaves.sum()),
+                    (lambda t: t.alive_at(3), dp.alive[3])):
+                res = enumerate_tree_expectation(m, x, 3, functional, level=level)
+                assert res.value == pytest.approx(exact, abs=1e-12)
+
+    def test_level_below_the_start_is_refused(self, model):
+        # simulate's rule: a start above the level is not a first crosser
+        with pytest.raises(ValueError, match="below the start"):
+            tree_expectations(model, 5.0, 3, level=2.0)
+        with pytest.raises(ValueError, match="below the start"):
+            enumerate_tree_expectation(model, 5.0, 3, lambda t: t.crossers(),
+                                       level=2.0)
+        # a start on the level is fine: it is not above it
+        assert tree_expectations(model, 2.0, 3, level=2.0).crossers[0] == 0.0
+
 
 class TestSpineSignature:
     def test_critical_lattice_spine_is_symmetric_walk(self):
@@ -159,6 +185,19 @@ class TestWalkDP:
         assert wo.p_hit_upper + wo.p_hit_lower + wo.residual_mass == pytest.approx(1.0, abs=1e-12)
         assert wo.n_steps == 6
 
+    @settings(max_examples=40, deadline=None)
+    @given(p_down=st.floats(0.05, 0.95), x=st.integers(0, 6),
+           width=st.integers(0, 8), horizon=st.integers(1, 40))
+    def test_horizon_mode_conserves_mass_with_a_gap(self, p_down, x, width,
+                                                    horizon):
+        # steps {-2, +1}: the step table holds zeros at -1 and 0, and a
+        # killed walk lands on -1 or -2
+        wo = walk_functional([-2.0, 1.0], [p_down, 1.0 - p_down], float(x),
+                             lower=0.0, upper=float(x + width), horizon=horizon)
+        total = wo.p_hit_upper + wo.p_hit_lower + wo.residual_mass
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert set(wo.undershoot) <= {-1.0, -2.0}
+
     def test_rejects_non_lattice_steps(self):
         with pytest.raises(ValueError):
             walk_functional([1.0, -math.sqrt(2.0)], [0.5, 0.5], 0.0, upper=4.0)
@@ -197,3 +236,13 @@ class TestHChainMarginal:
         unit, tenths = chain(1.0), chain(0.3)
         assert len(unit) == 5
         assert tenths == {0.3 * y: p for y, p in unit.items()}
+
+    def test_renewal_function_of_a_walk_with_a_gap(self):
+        # R(x) = 8/9 + 2x/3 + (-1/2)^x / 9 is harmonic for the {-2, +1}
+        # walk killed below 0; the chain from 0 keeps mass 1
+        h = lambda y: 8.0 / 9.0 + 2.0 * y / 3.0 + (-0.5) ** y / 9.0 if y >= 0 else 0.0
+        marg = h_chain_marginal(*GAP, h, 0.0, 8)
+        assert sum(marg.values()) == pytest.approx(1.0, abs=1e-12)
+        assert min(marg) >= 0.0
+        # one step from 0 must go up: the down step has weight h(-2) = 0
+        assert h_chain_marginal(*GAP, h, 0.0, 1) == pytest.approx({1.0: 1.0})

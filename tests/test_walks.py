@@ -284,7 +284,7 @@ class TestSkipFree:
     def test_up_only_walk_has_unit_ladder_height(self):
         walk = zero_drift_lattice_walk([-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0])
         assert walk.skip_free_up and not walk.skip_free_down
-        assert walks.first_ladder_height_mean(walk, None) == (1.0, 0.0, 0.0)
+        assert walks.first_ladder_height_mean(walk) == 1.0
         with pytest.raises(ValueError, match="span steps only"):
             walks.closed_form_renewal(walk, self.GRID)
 
@@ -449,7 +449,7 @@ class TestMinRecordSampler:
         ens = walks.hat_s_ensemble(ssrw, 10, 5_000, rng, max_steps=10 ** 5)
         w = ens.weights[ens.valid()]
         assert np.all(w == 1.0)
-        assert ens.e_h1 == 1.0 and ens.e_h1_stderr == 0.0
+        assert ens.e_h1 == 1.0
 
     def test_sigma_tilde_is_last_minimum(self, ssrw):
         rng = np.random.default_rng(511)
@@ -469,10 +469,31 @@ class TestMinRecordSampler:
         se = w.std(ddof=1) / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) <= 4.0 * se + 0.05
 
-    def test_ladder_height_cache(self, ssrw):
-        rng = np.random.default_rng(514)
-        first = walks.first_ladder_height_mean(ssrw, rng)
-        assert first == (1.0, 0.0, 0.0)
+    def test_valid_minimum_is_the_first_ladder_height(self, gauss_walk):
+        # a sample is certified exactly when its first ladder epoch T_1 is
+        # in 1..n, and then its last minimum sits at T_1
+        n = 12
+        ens = walks.hat_s_ensemble(gauss_walk, n, 4_000,
+                                   np.random.default_rng(513), max_steps=10 ** 5)
+        tk = walks.tanaka_ensemble(gauss_walk, n, 4_000,
+                                   np.random.default_rng(513), max_steps=10 ** 5)
+        late = tk.first_ladder > n
+        assert late.any() and np.array_equal(ens.flagged, tk.truncated | late)
+        v = ens.valid()
+        assert np.array_equal(ens.sigma_tilde[v], tk.first_ladder[v])
+
+    def test_ladder_height_is_exact(self, ssrw, gauss_walk):
+        # skip-free-up lattice: H_1 = span; zero-drift unit-variance
+        # gaussian: E[H_1] = sigma / sqrt(2)
+        assert walks.first_ladder_height_mean(ssrw) == 1.0
+        assert gauss_walk.step.sigma == 1.0 and gauss_walk.drift_sign == 0
+        assert walks.first_ladder_height_mean(gauss_walk) == 1.0 / math.sqrt(2.0)
+        drifting = walks.TiltedWalk(rho=0.0, step=models.GaussianStep(0.5),
+                                    drift=0.5, variance=1.0, span=None)
+        skipping = zero_drift_lattice_walk([-1.0, 2.0], [2.0 / 3.0, 1.0 / 3.0])
+        for walk in (drifting, skipping):
+            with pytest.raises(ValueError, match="known exactly only"):
+                walks.first_ladder_height_mean(walk)
 
 
 class ScriptedUniforms:
