@@ -7,16 +7,19 @@ Every run writes into its output directory:
   MANIFEST.json  config hash, code version, seed + scheme, truncation
                  accounting, and a sha256 per emitted file
 
-Reruns with identical config and seed are byte-identical.  The worker count
-never enters the artifacts: replicas are cut into fixed-size blocks, block i
-is seeded by a versioned split of (seed, i), and results merge in block
-order, so `--workers 1` and `--workers 8` produce identical files.  Only
-`simulate` (up to `--workers`) and `walk` (its three estimators) fork worker
-processes, never more than the usable CPUs; `taskset -c 0` runs all inline.
+The config hash covers the command, the model, the seed and every flag but
+`--out` and `--workers`, as argparse parsed it: one grid in two spellings
+gets one hash.  Reruns with identical config and seed are byte-identical.
+The worker count never enters the artifacts: replicas are cut into
+fixed-size blocks, block i is seeded by a versioned split of (seed, i), and
+results merge in block order, so `--workers 1` and `--workers 8` produce
+identical files.  Only `simulate` (up to `--workers`) and `walk` (its three
+estimators) fork worker processes, never more than the usable CPUs;
+`taskset -c 0` runs all inline.
 
 Exit codes: 0 success, 2 bad configuration, 3 run dominated by cap breaches
 (truncated fraction above one half).  Bad input takes one path to exit 2:
-argparse checks each flag's value (a bad, missing or unknown flag), the
+argparse parses and checks each flag (a bad, missing or unknown one), the
 library raises ValueError on input it refuses, and `main` alone turns either
 into a ``config error`` message and returns 2, never raising SystemExit.
 Every command makes all its draws before it creates its run directory, so a
@@ -141,7 +144,6 @@ class Run:
 
     def __init__(self, command: str, model_doc: dict | None, flags: dict,
                  seed: int | None, output_dir):
-        # workers and output path stay out: they must not change results
         self.config_doc = {"command": command, "flags": flags,
                            "model": model_doc, "seed": seed}
         self.output_dir = Path(output_dir)
@@ -205,48 +207,78 @@ def _estimate_doc(e) -> dict:
     return doc
 
 
-# ---------------------------------------------------------------------------
-# shared flag handling
-
-
-def _load_model(spec: str):
-    try:
-        return models.resolve_model(spec)
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"model spec {spec!r}: {exc}") from exc
-
-
 def _model_doc(model) -> dict:
     return json.loads(models.model_to_json(model))
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text, 0)
-    except ValueError as exc:
-        raise ConfigError(f"seed {text!r}: {exc}") from exc
+# parsed values that are not config flags: out and workers must not change
+# results, func is code, and the config holds command, model and seed apart
+_NOT_FLAGS = {"command", "func", "model", "out", "seed", "workers"}
+
+
+def _open_run(args) -> Run:
+    """The run of a parsed command line.  Its config holds every parsed flag
+    but _NOT_FLAGS, so a new flag enters the config hash by itself."""
+    model = getattr(args, "model", None)
+    return Run(args.command, None if model is None else _model_doc(model),
+               {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS},
+               getattr(args, "seed", None), args.out)
+
+
+# ---------------------------------------------------------------------------
+# flag converters: argparse parses every flag's text here
+
+
+def _flag_text(what: str):
+    """An argparse ``type=`` from a parser whose refusal names ``what``."""
+    def wrap(parse):
+        def convert(text: str):
+            try:
+                return parse(text)
+            except (ValueError, KeyError, OSError) as exc:
+                raise argparse.ArgumentTypeError(f"{what} {text!r}: {exc}") from exc
+        return convert
+    return wrap
+
+
+_model = _flag_text("model spec")(models.resolve_model)
+
+
+@_flag_text("seed")
+def _seed(text: str) -> int:
+    seed = int(text, 0)
     if not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed must fit in 64 unsigned bits")
+        raise ValueError("must fit in 64 unsigned bits")
     return seed
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+@_flag_text("levels")
+def _levels(text: str) -> list[float]:
+    levels = sorted(float(v) for v in text.split(",")) if text else []
+    if len(set(levels)) != len(levels):
+        raise ValueError("duplicate levels")
+    return levels
+
+
+@_flag_text("grid")
+def _grid(spec: str) -> list[float]:
     """Either 'a:b:step' (inclusive endpoints) or 'v1,v2,...'; finite and
     strictly increasing values."""
-    try:
-        vals = [float(v) for v in spec.split(":" if ":" in spec else ",")]
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        if ":" in spec:
-            a, b, step = vals
-            if step <= 0 or b < a:
-                raise ValueError("need a <= b and step > 0")
-            vals = np.arange(a, b + 1e-9 * max(step, 1.0), step)
-        if np.any(np.diff(vals) <= 0):
-            raise ValueError("values must be strictly increasing")
-        return np.asarray(vals)
-    except ValueError as exc:
-        raise ConfigError(f"grid {spec!r}: {exc}") from exc
+    vals = [float(v) for v in spec.split(":" if ":" in spec else ",")]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    if ":" in spec:
+        a, b, step = vals
+        if step <= 0 or b < a:
+            raise ValueError("need a <= b and step > 0")
+        vals = np.arange(a, b + 1e-9 * max(step, 1.0), step)
+    if np.any(np.diff(vals) <= 0):
+        raise ValueError("values must be strictly increasing")
+    return [float(v) for v in vals]
+
+
+def _paths(text: str) -> list[str]:
+    return [str(Path(p)) for p in text.split(",")]
 
 
 def _flag_type(parse, ok, need: str):
@@ -307,17 +339,7 @@ def _run(tasks: list, workers: int, order=None):
 
 
 def cmd_simulate(args) -> int:
-    model = _load_model(args.model)
-    try:
-        levels = sorted(float(v) for v in args.levels.split(",")) if args.levels else []
-    except ValueError as exc:
-        raise ConfigError(f"levels {args.levels!r}: {exc}") from exc
-    if len(set(levels)) != len(levels):
-        raise ConfigError("duplicate levels")
-    seed = _parse_seed(args.seed)
-    n = args.replicas
-    curve_grid = _parse_grid(args.survival_curve) if args.survival_curve else None
-
+    model, levels, seed, n = args.model, args.levels, args.seed, args.replicas
     caps = trees.SimCaps(args.max_particles, args.max_generations)
     tasks = [partial(trees.simulate_killed_forest, model, args.x, levels,
                      min(BLOCK, n - i * BLOCK), rng_for_block(seed, i), caps)
@@ -360,22 +382,18 @@ def cmd_simulate(args) -> int:
         reach[_fmt_level(t)] = {"value": e.value, "stderr": e.stderr}
     summary["p_reach"] = reach
 
-    if curve_grid is not None:
+    if args.survival_curve is not None:
         for name, counts in (("Z", Z), ("leaves", leaves)):
-            tab = stats.survival_curve(counts, curve_grid, truncated=trunc)
+            tab = stats.survival_curve(counts, args.survival_curve, truncated=trunc)
             summary[f"survival_{name}"] = {
-                "grid": [float(g) for g in curve_grid],
+                "grid": args.survival_curve,
                 "p": tab.values.tolist(),
                 "stderr": tab.stderr.tolist(),
                 "exceedances": [int(k) for k in tab.exceedances],
                 "flagged": [bool(f) for f in tab.flagged],
             }
 
-    flags = {"x": args.x, "levels": levels, "replicas": n,
-             "max_particles": args.max_particles,
-             "max_generations": args.max_generations,
-             "survival_curve": args.survival_curve}
-    run = Run("simulate", summary["model"], flags, seed, args.out)
+    run = _open_run(args)
     header = ["replica", "Z", "leaves", "Y", "truncated", "generations"] \
         + [f"H_{_fmt_level(t)}" for t in levels]
     run.write_csv("records.csv", header,
@@ -389,29 +407,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze_model(args) -> int:
-    model = _load_model(args.model)
-    an = model.analytics()
+    an = args.model.analytics()
     doc = {
         "kind": "analyze-model",
-        "model": _model_doc(model),
+        "model": _model_doc(args.model),
         "regime": an.regime.value,
-        "mean_offspring": float(model.mean_offspring),
+        "mean_offspring": float(args.model.mean_offspring),
         "rho_star": an.rho_star,
         "rho_plus": an.rho_plus,
         "rho_minus": an.rho_minus,
     }
     drift = {}
-    for name, rho in (("star", an.rho_star), ("plus", an.rho_plus),
-                      ("minus", an.rho_minus)):
+    for name, rho in an.tilts().items():
         if rho is not None:
-            psi, dpsi, _ = models.log_laplace(model, rho)
+            psi, dpsi, _ = models.log_laplace(args.model, rho)
             drift[name] = {"rho": float(rho), "psi": float(psi),
                            "tilted_drift": float(dpsi)}
     doc["tilts"] = drift
     text = json.dumps(doc, sort_keys=True, indent=2)
     print(text)
     if args.out:
-        run = Run("analyze-model", doc["model"], {}, None, args.out)
+        run = _open_run(args)
         run.write_text("summary.json", text + "\n")
         return run.finish({})
     return 0
@@ -422,9 +438,7 @@ def cmd_analyze_model(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    model = _load_model(args.model)
-    grid = _parse_grid(args.grid)
-    seed = _parse_seed(args.seed)
+    model, grid, seed = args.model, args.grid, args.seed
     tw = walks.make_tilted_walk(model, args.tilt)
     # one stream per stage, C_R (the longest) handed out first; a refusal
     # surfaces in list order, and drift and grid are checked before a draw
@@ -444,7 +458,7 @@ def cmd_walk(args) -> int:
     vv, vs, lv, ls = visit.values, visit.stderr, ladder.values, ladder.stderr
     z = pooled_z(vv, vs, lv, ls)
     rel_err = None
-    cf = [None] * grid.size
+    cf = [None] * len(grid)
     if closed is not None:
         cf = closed.values
         rel_err = float(max(np.max(np.abs(vv - cf) / cf),
@@ -455,8 +469,8 @@ def cmd_walk(args) -> int:
         "model": _model_doc(model),
         "tilt": args.tilt,
         "rho": tw.rho,
-        "grid": [float(g) for g in grid],
-        "max_method_z": float(np.max(z)) if grid.size else 0.0,
+        "grid": grid,
+        "max_method_z": float(np.max(z)) if grid else 0.0,
         "max_closed_form_rel_err": rel_err,
         "C_R": _estimate_doc(cr),
         "cr_reference": args.cr_reference,
@@ -466,10 +480,7 @@ def cmd_walk(args) -> int:
                                           ladder.truncated_fraction),
     }
 
-    flags = {"tilt": args.tilt, "grid": summary["grid"],
-             "replicas": args.replicas, "probe_t": args.probe_t,
-             "max_steps": args.max_steps, "cr_reference": args.cr_reference}
-    run = Run("walk", summary["model"], flags, seed, args.out)
+    run = _open_run(args)
     run.write_csv("records.csv",
                   ["x", "closed_form", "visit", "visit_stderr",
                    "ladder", "ladder_stderr", "pooled_z"],
@@ -484,8 +495,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_spine(args) -> int:
-    model = _load_model(args.model)
-    seed = _parse_seed(args.seed)
+    model, seed = args.model, args.seed
     an = model.analytics()
     if args.x < 0:
         raise ConfigError("start must sit at or above the barrier")
@@ -493,9 +503,9 @@ def cmd_spine(args) -> int:
         raise ConfigError("level must lie above the start")
 
     renewal = None
-    if args.renewal_grid:
+    if args.renewal_grid is not None:
         tw = walks.make_tilted_walk(model)
-        renewal = walks.renewal_function(tw, _parse_grid(args.renewal_grid),
+        renewal = walks.renewal_function(tw, args.renewal_grid,
                                          args.renewal_replicas,
                                          rng_for_block(seed, 1),
                                          method="LadderDuality")
@@ -535,11 +545,7 @@ def cmd_spine(args) -> int:
         summary["z_spine_vs_naive"] = float(pooled_z(est.value, est.stderr,
                                                      naive.value, naive_se))
 
-    flags = {"x": args.x, "t": args.t, "replicas": args.replicas,
-             "band_eps": args.band_eps, "naive_replicas": args.naive_replicas,
-             "renewal_grid": args.renewal_grid,
-             "renewal_replicas": args.renewal_replicas}
-    run = Run("spine", summary["model"], flags, seed, args.out)
+    run = _open_run(args)
     run.write_json("summary.json", summary)
     return run.finish({"spine": est.truncated_fraction,
                        "renewal": summary["renewal_truncated_fraction"]})
@@ -550,7 +556,7 @@ def cmd_spine(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model = _load_model(args.model)
+    model = args.model
     res = oracle.tree_expectations(model, args.x, args.depth, level=args.level)
     summary = {
         "kind": "oracle",
@@ -563,8 +569,7 @@ def cmd_oracle(args) -> int:
         "expected_crossers_total": res.expected_crossers_total,
     }
 
-    flags = {"x": args.x, "depth": args.depth, "level": args.level}
-    run = Run("oracle", summary["model"], flags, None, args.out)
+    run = _open_run(args)
     run.write_csv("records.csv", ["generation", "alive", "leaves", "crossers"],
                   [np.arange(args.depth + 1), res.alive, res.leaves,
                    res.crossers])
@@ -577,10 +582,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    paths = [Path(p) for p in args.records.split(",")]
     counts, trunc = [], []
-    for p in paths:
-        if not p.exists():
+    for p in args.records:
+        if not os.path.exists(p):
             raise ConfigError(f"records file {p} does not exist")
         with open(p) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
@@ -605,8 +609,7 @@ def cmd_estimate(args) -> int:
                      else np.zeros(len(data), bool))
     counts = np.concatenate(counts)
     trunc = np.concatenate(trunc)
-    grid = _parse_grid(args.grid)
-    table = stats.survival_curve(counts, grid, truncated=trunc)
+    table = stats.survival_curve(counts, args.grid, truncated=trunc)
     rep = stats.tail_fit(table, args.regime, rho_ratio=args.rho_ratio)
 
     fit = rep.fitted_exponent_or_constant
@@ -634,11 +637,7 @@ def cmd_estimate(args) -> int:
         summary["reference_constant"] = args.reference_constant
         summary["constant_factor"] = float(max(ratio, 1.0 / ratio))
 
-    flags = {"statistic": args.statistic, "regime": args.regime,
-             "grid": [float(g) for g in grid], "rho_ratio": args.rho_ratio,
-             "reference_constant": args.reference_constant,
-             "records": [str(p) for p in paths]}
-    run = Run("estimate", None, flags, None, args.out)
+    run = _open_run(args)
     run.write_csv("curve.csv",
                   ["n", "exceedances", "survival", "stderr", "normalized"],
                   [rep.grid, np.rint(ps * table.n_replicas).astype(np.int64),
@@ -821,7 +820,7 @@ def _criterion_rows(runs):
 
 
 def cmd_report(args) -> int:
-    runs = _load_runs(args.runs.split(","))
+    runs = _load_runs(args.runs)
     rows = _criterion_rows(runs)
     width = max(len(r["title"]) for r in rows)
     lines = [f"{r['criterion']:>2}  {r['title']:<{width}}  {r['status']:<4}  "
@@ -829,8 +828,7 @@ def cmd_report(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        run = Run("report", None, {"runs": sorted(args.runs.split(","))},
-                  None, args.out)
+        run = _open_run(args)
         run.write_json("summary.json", {"kind": "report", "rows": rows})
         run.write_text("report.txt", text + "\n")
         return run.finish({})
@@ -849,7 +847,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def model_arg(sp):
-        sp.add_argument("--model", required=True,
+        sp.add_argument("--model", type=_model, required=True,
                         help="builtin name, inline JSON, or a JSON file path")
 
     sp = sub.add_parser("analyze-model",
@@ -861,16 +859,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="forward killed-forest replicas")
     model_arg(sp)
     sp.add_argument("--x", type=_finite, default=0.0)
-    sp.add_argument("--levels", default=None,
+    sp.add_argument("--levels", type=_levels, default=[],
                     help="comma-separated crossing levels")
     sp.add_argument("--replicas", type=_count, required=True)
-    sp.add_argument("--seed", required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--workers", type=_count, default=1)
     sp.add_argument("--max-particles", type=int,
                     default=trees.SimCaps().max_particles)
     sp.add_argument("--max-generations", type=int,
                     default=trees.SimCaps().max_generations)
-    sp.add_argument("--survival-curve", default=None,
+    sp.add_argument("--survival-curve", type=_grid, default=None,
                     help="thresholds n1,n2,...: emit P(Z>n) and P(leaves>n)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_simulate)
@@ -878,10 +876,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("walk", help="renewal tables and first-passage probes "
                                      "for a tilted step walk")
     model_arg(sp)
-    sp.add_argument("--tilt", choices=("star", "plus", "minus"), required=True)
-    sp.add_argument("--grid", required=True, help="'a:b:step' or 'v1,v2,...'")
+    sp.add_argument("--tilt", choices=models.TILT_NAMES, required=True)
+    sp.add_argument("--grid", type=_grid, required=True,
+                    help="'a:b:step' or 'v1,v2,...'")
     sp.add_argument("--replicas", type=_count, required=True)
-    sp.add_argument("--seed", required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--probe-t", type=_positive, default=50.0)
     sp.add_argument("--max-steps", type=_count, default=10 ** 6)
     sp.add_argument("--cr-reference", type=_positive, default=None,
@@ -895,11 +894,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=_finite, default=0.0)
     sp.add_argument("--t", type=_finite, required=True)
     sp.add_argument("--replicas", type=_count, required=True)
-    sp.add_argument("--seed", required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--band-eps", type=_band_eps, default=1e-3)
     sp.add_argument("--naive-replicas", type=_nonnegative_count, default=0,
                     help="also run a forward-forest estimate for comparison")
-    sp.add_argument("--renewal-grid", default=None,
+    sp.add_argument("--renewal-grid", type=_grid, default=None,
                     help="grid for a Monte Carlo renewal table "
                          "(required for continuous steps)")
     sp.add_argument("--renewal-replicas", type=_count, default=200_000)
@@ -915,12 +914,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("estimate", help="tail fit over recorded replicas")
-    sp.add_argument("--records", required=True,
+    sp.add_argument("--records", type=_paths, required=True,
                     help="comma-separated records.csv paths")
     sp.add_argument("--statistic", choices=("Z", "leaves"), default="Z")
     sp.add_argument("--regime", choices=("critical", "subcritical"),
                     required=True)
-    sp.add_argument("--grid", required=True)
+    sp.add_argument("--grid", type=_grid, required=True)
     sp.add_argument("--rho-ratio", type=_negative, default=None,
                     help="reference tail exponent (negative)")
     sp.add_argument("--reference-constant", type=_positive, default=None,
@@ -929,7 +928,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_estimate)
 
     sp = sub.add_parser("report", help="criterion table over completed runs")
-    sp.add_argument("--runs", required=True,
+    sp.add_argument("--runs", type=_paths, required=True,
                     help="comma-separated run directories")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_report)

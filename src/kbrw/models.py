@@ -261,6 +261,9 @@ class Regime(Enum):
     OUT_OF_SCOPE = "out_of_scope"
 
 
+TILT_NAMES = ("star", "plus", "minus")
+
+
 @dataclass(frozen=True)
 class ModelAnalytics:
     """The regime classify_regime finds and the tilts that go with it."""
@@ -278,6 +281,10 @@ class ModelAnalytics:
         if self.regime is Regime.SUBCRITICAL:
             return self.rho_plus
         raise ValueError(f"no default tilt in the {self.regime.value} regime")
+
+    def tilts(self) -> dict[str, float | None]:
+        """Each of TILT_NAMES with its exponent, None where undefined."""
+        return dict(zip(TILT_NAMES, (self.rho_star, self.rho_plus, self.rho_minus)))
 
 
 class _ModelBase:

@@ -319,27 +319,29 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     """Exact lattice DP for a walk with finite step support.
 
     ``lower`` kills on S < lower (strict), ``upper`` absorbs on S > upper
-    (strict).  With only one barrier and positive drift away from it, pass the
-    other as a cutoff and read ``error_bound``: the Cramer bound on mass that
-    would still have hit the barrier beyond the cutoff.  With no ``horizon``
-    the DP runs until less than WALK_DP_TOL mass is left, and raises if that
-    takes more than WALK_DP_MAX_STEPS steps.
+    (strict); both are required.  With only one barrier and positive drift
+    away from it, pass the other as a cutoff and read ``error_bound``: the
+    Cramer bound on mass that would still have hit the barrier beyond the
+    cutoff.  With no ``horizon`` the DP runs until less than WALK_DP_TOL mass
+    is left, and raises if that takes more than WALK_DP_MAX_STEPS steps.
     """
+    if lower is None or upper is None:
+        raise ValueError("the walk DP needs both barriers; pass a cutoff as one")
     vals = np.asarray(step_values, float)
     probs = np.asarray(step_probs, float)
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError("step probabilities must sum to 1")
     span, first, table = _lattice_law(vals, probs, "step")
     base = int(lattice_units(x, span, what="start"))
-    lo = None if lower is None else int(lattice_units(lower, span, what="lower"))
-    up = None if upper is None else int(lattice_units(upper, span, what="upper"))
-    if lo is not None and base < lo:
+    lo = int(lattice_units(lower, span, what="lower"))
+    up = int(lattice_units(upper, span, what="upper"))
+    if base < lo:
         raise ValueError("start below lower barrier")
-    if up is not None and base > up:
+    if base > up:
         raise ValueError("start above upper barrier")
 
     mass = np.ones(1)
-    u0 = (0 if lo is None else lo) + first
+    u0 = lo + first
     under = np.zeros(max(-first, 0))   # under[j]: killed mass landing at u0 + j
     upper = KahanSum()
     n = 0
@@ -361,18 +363,18 @@ def walk_functional(step_values, step_probs, x: float, *, lower: float | None = 
     landed = (u0 + hit) * span
     p_lower = math.fsum(under[hit])
 
-    # Cramer bound for interpreting the upper cutoff as "never hits lower":
-    # gamma > 0 with sum p e^{-gamma v} = 1 exists iff drift > 0, and
-    # P(ever drop below `lower` from height h) <= e^{-gamma (h - lower + span)}.
+    # Cramer bound for reading the upper cutoff as "never hits lower": with
+    # gamma > 0 the root of sum p e^{-gamma v} = 1 (drift > 0, a step down),
+    # P(ever drop below `lower` from height h) <= e^{-gamma (h - lower + span)}
     drift = float((vals * probs).sum())
     err = 0.0
-    if up is not None and lo is not None and drift > 0:
+    if drift > 0 and vals.min() < 0:
         gamma = cramer_gamma(FiniteStep(vals, probs))
         err = p_upper * math.exp(-gamma * ((up - lo) * span + span))
 
     return WalkOracle(
         p_hit_upper=p_upper, p_hit_lower=p_lower,
-        p_survive=p_upper if (up is not None and lo is not None and drift > 0) else 0.0,
+        p_survive=p_upper if drift > 0 else 0.0,
         e_rho_lower=math.nan if rho is None else
         math.fsum(under[hit] * np.exp(-rho * landed)),
         undershoot=dict(zip(landed.tolist(), under[hit].tolist())),

@@ -85,7 +85,7 @@ class TiltedWalk:
 def make_tilted_walk(model, rho=None) -> TiltedWalk:
     """Build the spine walk for a mass-1 tilt; the package's one mass-1 check.
 
-    ``rho`` is a number, one of "star", "plus", "minus", or None for the
+    ``rho`` is a number, one of ``models.TILT_NAMES``, or None for the
     regime's tilt; |psi(rho)| <= MASS_TOL must hold (psi-roots, and rho_star
     in the critical case where it is itself a root).
     """
@@ -93,7 +93,7 @@ def make_tilted_walk(model, rho=None) -> TiltedWalk:
         value = model.analytics().regime_tilt()
     elif isinstance(rho, str):
         an = model.analytics()
-        table = {"star": an.rho_star, "plus": an.rho_plus, "minus": an.rho_minus}
+        table = an.tilts()
         if rho not in table:
             raise ValueError(f"unknown tilt name {rho!r}")
         value = table[rho]

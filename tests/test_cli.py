@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment harness."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -223,6 +224,92 @@ class TestBadInput:
 
     def test_drift_up_walk_runs_at_two_replicas(self, tmp_path):
         assert run_cli(*WALK, "--replicas", 2, "--out", tmp_path / "w") == 0
+
+
+def config_hash(out) -> str:
+    return json.loads((out / "MANIFEST.json").read_text())["config_sha256"]
+
+
+class TestConfig:
+    """The config hash covers each parsed flag but --out and --workers."""
+
+    # parsed values the config's flags leave out: they must not change
+    # results, or the config records them on their own
+    EXCLUDED = {"out", "workers", "model", "seed"}
+
+    def test_report_run_order_moves_the_hash(self, tmp_path):
+        # the notes follow the order of --runs, so the config must as well
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text('{"kind": "oracle"}')
+        a, b = tmp_path / "a", tmp_path / "b"
+        for runs, out in ((f"{a},{b}", "ab"), (f"{b},{a}", "ba")):
+            assert run_cli("report", "--runs", runs,
+                           "--out", tmp_path / out) == 0
+        assert config_hash(tmp_path / "ab") != config_hash(tmp_path / "ba")
+
+    @pytest.mark.parametrize("argv, flag, spellings", [
+        (["simulate", "--model", "two-point", "--replicas", 1000,
+          "--seed", 3], "--survival-curve", ("4:16:4", "4,8,12,16")),
+        (["spine", "--model", "critical-gaussian", "--t", 2, "--replicas", 50,
+          "--renewal-replicas", 200, "--seed", 4], "--renewal-grid",
+         ("0:10:0.5", ",".join(f"{0.5 * i:g}" for i in range(21)))),
+    ], ids=["survival-curve", "renewal-grid"])
+    def test_one_grid_in_two_spellings_has_one_hash(self, tmp_path, argv,
+                                                    flag, spellings):
+        outs = [tmp_path / f"s{k}" for k in range(2)]
+        for out, grid in zip(outs, spellings):
+            assert run_cli(*argv, flag, grid, "--out", out) == 0
+        assert config_hash(outs[0]) == config_hash(outs[1])
+        for f in sorted(p.name for p in outs[0].iterdir()):
+            if f != "MANIFEST.json":
+                assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+    def test_config_records_every_parsed_flag(self, tmp_path, monkeypatch):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("replica,Z\n"
+                       + "".join(f"{i},{i % 64}\n" for i in range(4000)))
+        # one command line per subcommand, run in this order
+        argvs = {
+            "analyze-model": ["--model", "two-point"],
+            "simulate": ["--model", "two-point", "--replicas", 100, "--seed", 1,
+                         "--levels", "3,1", "--survival-curve", "1:4:1",
+                         "--workers", 2],
+            "walk": ["--model", "two-point", "--tilt", "plus", "--grid",
+                     "0:2:1", "--replicas", 2, "--seed", 1],
+            "spine": ["--model", "critical-lattice", "--t", 2,
+                      "--replicas", 10, "--seed", 1],
+            "oracle": ["--model", "critical-lattice", "--depth", 2],
+            "estimate": ["--records", rec, "--regime", "critical",
+                         "--grid", "4,8,16,32"],
+            "report": ["--runs", f"{tmp_path / 'walk'},{tmp_path / 'spine'}"],
+        }
+        parser = cli._build_parser()
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert set(argvs) == set(sub.choices)
+
+        recorded = {}
+        finish = cli.Run.finish
+
+        def record(run, truncation):
+            recorded[run.config_doc["command"]] = run.config_doc["flags"]
+            return finish(run, truncation)
+
+        monkeypatch.setattr(cli.Run, "finish", record)
+        for name, argv in argvs.items():
+            argv = [name, *map(str, argv), "--out", str(tmp_path / name)]
+            assert run_cli(*argv) == 0, name
+            dests = {a.dest for a in sub.choices[name]._actions} - {"help"}
+            flags = recorded[name]
+            assert set(flags) == dests - self.EXCLUDED, name
+            # each as parsed, in a form JSON keeps
+            args = parser.parse_args(argv)
+            for k, v in flags.items():
+                assert v == getattr(args, k), (name, k)
+                assert json.loads(json.dumps(v)) == v, (name, k)
+        assert recorded["simulate"]["levels"] == [1.0, 3.0]
+        assert recorded["simulate"]["survival_curve"] == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestImport:

@@ -198,6 +198,20 @@ class TestWalkDP:
         assert total == pytest.approx(1.0, abs=1e-12)
         assert set(wo.undershoot) <= {-1.0, -2.0}
 
+    @pytest.mark.parametrize("lower, upper", [(None, 8.0), (0.0, None)])
+    def test_one_open_barrier_is_refused_before_a_step(self, lower, upper):
+        # a walk drifting toward an open side would widen the window by one
+        # point on each of WALK_DP_MAX_STEPS steps
+        with pytest.raises(ValueError, match="both barriers"):
+            walk_functional([1.0, -1.0], [0.3, 0.7], 5.0, lower=lower,
+                            upper=upper)
+
+    def test_walk_without_a_step_down_never_hits_lower(self):
+        wo = walk_functional([1.0, 2.0], [0.3, 0.7], 5.0, lower=0.0, upper=8.0)
+        assert wo.error_bound == 0.0
+        assert wo.p_hit_lower == 0.0
+        assert wo.p_hit_upper == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_non_lattice_steps(self):
         with pytest.raises(ValueError):
             walk_functional([1.0, -math.sqrt(2.0)], [0.5, 0.5], 0.0, upper=4.0)
