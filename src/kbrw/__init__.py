@@ -8,7 +8,7 @@ associated tilted walks, survival above a moving level, and the additive /
 derivative martingales.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .models import (
     Regime,

@@ -650,20 +650,22 @@ def cmd_estimate(args) -> int:
 # report
 
 
-CRITERIA = [
-    (1, "exploration identity"),
-    (2, "oracle equivalence matrix"),
-    (3, "many-to-one functionals"),
-    (4, "additive martingale means"),
-    (5, "renewal estimators vs closed forms"),
-    (6, "first-passage constant band"),
-    (7, "conditioned-walk consistency"),
-    (8, "survival scaling across levels"),
-    (9, "subcritical progeny tail slope"),
-    (10, "critical progeny tail plateau"),
-    (11, "weighted-sum tail constant"),
-    (12, "reproducibility across worker counts"),
-]
+# number -> (title, the note of a SKIP row when the runs allow no check)
+CRITERIA = {
+    1: ("exploration identity", "no simulate runs supplied"),
+    2: ("oracle equivalence matrix", "runs in the test suite (oracle matrix)"),
+    3: ("many-to-one functionals", "runs in the test suite (many-to-one)"),
+    4: ("additive martingale means", "runs in the test suite (martingale means)"),
+    5: ("renewal estimators vs closed forms", "no walk runs supplied"),
+    6: ("first-passage constant band", "no walk runs supplied"),
+    7: ("conditioned-walk consistency", "runs in the test suite (conditioned walks)"),
+    8: ("survival scaling across levels", "no spine runs supplied"),
+    9: ("subcritical progeny tail slope", "no subcritical tail fits supplied"),
+    10: ("critical progeny tail plateau", "no critical tail fits supplied"),
+    11: ("weighted-sum tail constant", "runs in the test suite (weighted-sum tails)"),
+    12: ("reproducibility across worker counts",
+         "no repeated config hash among supplied runs"),
+}
 
 # Every bound that turns a measured number into PASS/FAIL.  `kbrw report`
 # and the acceptance suite (tests/test_acceptance.py) both read them here.
@@ -685,21 +687,6 @@ TOLERANCES = {
     "weighted_tail_rel": 0.10,  # weighted-sum tail constant (11)
 }
 
-# A SKIP row's note: the runs allow no check of its criterion
-_SKIP = {1: "no simulate runs supplied",
-         2: "runs in the test suite (oracle matrix)",
-         3: "runs in the test suite (many-to-one)",
-         4: "runs in the test suite (martingale means)",
-         5: "no walk runs supplied",
-         6: "no walk runs supplied",
-         7: "runs in the test suite (conditioned walks)",
-         8: "no spine runs supplied",
-         9: "no subcritical tail fits supplied",
-         10: "no critical tail fits supplied",
-         11: "runs in the test suite (weighted-sum tails)",
-         12: "no repeated config hash among supplied runs"}
-
-
 def _load_runs(dirs):
     loaded = []
     for d in dirs:
@@ -720,8 +707,8 @@ def _criterion_rows(runs):
     kinds: dict[str, list] = {}
     for _, s, _ in runs:
         kinds.setdefault(s.get("kind", "?"), []).append(s)
-    checks = {num: [] for num, _ in CRITERIA}
-    skip = dict(_SKIP)
+    checks = {num: [] for num in CRITERIA}
+    skip = {}          # SKIP notes more precise than the table's
     tol = TOLERANCES
 
     sims = kinds.get("simulate", [])
@@ -766,7 +753,9 @@ def _criterion_rows(runs):
     for i, a in enumerate(sps):
         for b in sps[i + 1:]:
             lo, hi = sorted((a, b), key=lambda s: s["t"])
+            # the scaled value carries R(x) e^{rho x}: pair equal starts only
             if (lo["model"] == hi["model"] and lo["regime"] == hi["regime"]
+                    and lo.get("x") == hi.get("x")
                     and abs(hi["t"] - 2.0 * lo["t"]) < 1e-9 * hi["t"]):
                 ratio = hi["scaled"]["value"] / lo["scaled"]["value"]
                 if lo["regime"] == "critical":
@@ -797,12 +786,13 @@ def _criterion_rows(runs):
                 note += f", constant factor {s['constant_factor']:.3f}"
             checks[10].append((ok, note))
 
-    # summary digests per config hash, over the runs that carry a MANIFEST
-    digests: dict[str, list] = {}
+    # summary digests per config hash, code version and seed scheme, over
+    # the runs that carry a MANIFEST: only reruns of one code are compared
+    digests: dict[tuple, list] = {}
     for _, _, m in runs:
         if m is not None and "summary.json" in m.get("outputs", {}):
-            digests.setdefault(m["config_sha256"], []).append(
-                m["outputs"]["summary.json"])
+            key = (m["config_sha256"], m.get("code_version"), m.get("seed_scheme"))
+            digests.setdefault(key, []).append(m["outputs"]["summary.json"])
     repeated = [len(set(d)) == 1 for d in digests.values() if len(d) >= 2]
     if repeated:
         checks[12].append((all(repeated),
@@ -810,12 +800,13 @@ def _criterion_rows(runs):
                            + ("all byte-identical" if all(repeated) else "DIFFER")))
 
     rows = []
-    for num, title in CRITERIA:
+    for num, (title, note) in CRITERIA.items():
         got = checks[num]
         status = "PASS" if all(ok for ok, _ in got) else "FAIL"
         rows.append({"criterion": num, "title": title,
                      "status": status if got else "SKIP",
-                     "note": "; ".join(n for _, n in got) if got else skip[num]})
+                     "note": "; ".join(n for _, n in got) if got
+                     else skip.get(num, note)})
     return rows
 
 

@@ -227,9 +227,6 @@ def enumerate_tree_expectation(model, x: float, depth: int, functional,
         raise ValueError(LEVEL_BELOW_START)
     tree = EnumTree(x, alive=(not barrier) or x >= 0.0)
 
-    def expandable(i: int) -> bool:
-        return tree.alive[i] and not tree.crossed[i]
-
     def do_level(frontier: list[int], g: int, prob: float) -> None:
         if g == depth or not frontier:
             state["terms"] += 1
@@ -239,36 +236,26 @@ def enumerate_tree_expectation(model, x: float, depth: int, functional,
             mass.add(prob)
             return
 
-        def assign(j: int, prob_j: float, chosen: list[tuple[float, ...]]) -> None:
-            if j == len(frontier):
-                base = len(tree.pos)
-                nxt = []
-                for node, disp in zip(frontier, chosen):
-                    for z in disp:
-                        p = tree.pos[node] + z
-                        tree.pos.append(p)
-                        tree.gen.append(g + 1)
-                        ok = (not barrier) or p >= 0.0
-                        crossed = level is not None and ok and p > level
-                        tree.alive.append(ok)
-                        tree.crossed.append(crossed)
-                        if ok and not crossed:
-                            nxt.append(len(tree.pos) - 1)
-                do_level(nxt, g + 1, prob_j)
-                del tree.pos[base:]
-                del tree.gen[base:]
-                del tree.alive[base:]
-                del tree.crossed[base:]
-                return
-            for q, disp in outcomes:
-                chosen.append(disp)
-                assign(j + 1, prob_j * q, chosen)
-                chosen.pop()
+        # one outcome per frontier node, the first node varying slowest
+        base = len(tree.pos)
+        for choice in itertools.product(outcomes, repeat=len(frontier)):
+            nxt = []
+            for node, (_, disp) in zip(frontier, choice):
+                for z in disp:
+                    p = tree.pos[node] + z
+                    ok = (not barrier) or p >= 0.0
+                    crossed = level is not None and ok and p > level
+                    tree.pos.append(p)
+                    tree.gen.append(g + 1)
+                    tree.alive.append(ok)
+                    tree.crossed.append(crossed)
+                    if ok and not crossed:
+                        nxt.append(len(tree.pos) - 1)
+            do_level(nxt, g + 1, math.prod((q for q, _ in choice), start=prob))
+            for column in (tree.pos, tree.gen, tree.alive, tree.crossed):
+                del column[base:]
 
-        assign(0, prob, [])
-
-    root_frontier = [0] if expandable(0) else []
-    do_level(root_frontier, 0, 1.0)
+    do_level([0] if tree.alive[0] else [], 0, 1.0)   # the root never crosses
     pm = float(mass)
     if abs(pm - 1.0) > 1e-9:
         raise ArithmeticError(f"enumeration probability mass {pm} != 1")

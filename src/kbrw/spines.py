@@ -231,6 +231,10 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
     rep = in_spans(rep, tw.span)
     h = lambda k: R(pos(k))
 
+    def book(acc, ids, v):
+        """Add the line mass R(v) e^{rho v} of particles at v to their replicas."""
+        acc += np.bincount(ids, weights=R(v) * np.exp(rho * v), minlength=n_replicas)
+
     active = np.ones(n_replicas, bool)
     Mstar = np.zeros(n_replicas)
     dropped = np.zeros(n_replicas)     # expected crosser mass given away
@@ -257,15 +261,10 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
             alive = spos >= lo
             crossed_sib = alive & (spos > top)
             if crossed_sib.any():
-                v = pos(spos[crossed_sib])
-                Mstar += np.bincount(srep[crossed_sib],
-                                     weights=R(v) * np.exp(rho * v),
-                                     minlength=n_replicas)
+                book(Mstar, srep[crossed_sib], pos(spos[crossed_sib]))
             low = alive & ~crossed_sib & (spos < band)
             if low.any():
-                v = pos(spos[low])
-                dropped += np.bincount(srep[low], weights=R(v) * np.exp(rho * v),
-                                       minlength=n_replicas)
+                book(dropped, srep[low], pos(spos[low]))
             queue = alive & ~crossed_sib & (spos >= band)
             if queue.any():
                 sib_rep.append(srep[queue])
@@ -273,10 +272,8 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
         S[idx] = znew
         done = znew > top
         if done.any():
-            di = idx[done]
-            v = pos(S[di])
-            Mstar[di] += R(v) * np.exp(rho * v)
-            active[di] = False
+            book(Mstar, idx[done], pos(znew[done]))
+            active[idx[done]] = False
 
     invalid = np.zeros(n_replicas, bool)
     if sib_rep:
@@ -288,10 +285,9 @@ def estimate_survival_spine(model, x: float, t: float, n_replicas: int, rng, *,
                                               roots_pos.size, rng)
         ids, vals = forest.overshoots
         if ids.size:
-            v = t + vals
-            Mstar += np.bincount(roots_rep[ids], weights=R(v) * np.exp(rho * v),
-                                 minlength=n_replicas)
+            book(Mstar, roots_rep[ids], t + vals)
         if L > 0.0:
+            # each leaf fell below L, where the line mass is at most R(L) e^{rho L}
             dropped += np.bincount(roots_rep, weights=forest.leaves
                                    * float(R(np.asarray(L))) * math.exp(rho * L),
                                    minlength=n_replicas)

@@ -230,13 +230,14 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
     rho_w, rho_minus, rho_star = an.regime_tilt(), an.rho_minus, an.rho_star
     rho_ref = rho_minus if rho_minus is not None else rho_star
 
-    W = np.zeros((n_replicas, n_max + 1))
-    dW = np.zeros((n_replicas, n_max + 1))
-    Mm = np.zeros((n_replicas, n_max + 1)) if rho_minus is not None else None
+    # summand of each column; a dropped particle is credited its own summands
+    terms = [lambda v: np.exp(rho_w * v),
+             lambda v: -rho_star * v * np.exp(rho_star * v)]
+    if rho_minus is not None:
+        terms.append(lambda v: np.exp(rho_minus * v))
+    cols = [np.zeros((n_replicas, n_max + 1)) for _ in terms]
+    creds = [np.zeros(n_replicas) for _ in terms]
     truncated = np.zeros(n_replicas, bool)
-    credW = np.zeros(n_replicas)
-    creddW = np.zeros(n_replicas)
-    credM = np.zeros(n_replicas)
     births = np.ones(n_replicas, np.int64)
     pruned_mass = 0.0
     total_mass = 0.0
@@ -244,14 +245,9 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
     pos = np.full(n_replicas, float(x))
     tree = np.arange(n_replicas, dtype=np.int64)
     for g in range(n_max + 1):
-        wvals = np.exp(rho_w * pos)
-        W[:, g] = np.bincount(tree, weights=wvals, minlength=n_replicas) + credW
-        dvals = -rho_star * pos * np.exp(rho_star * pos)
-        dW[:, g] = np.bincount(tree, weights=dvals, minlength=n_replicas) + creddW
-        if Mm is not None:
-            mvals = np.exp(rho_minus * pos)
-            Mm[:, g] = np.bincount(tree, weights=mvals,
-                                   minlength=n_replicas) + credM
+        for col, cred, term in zip(cols, creds, terms):
+            col[:, g] = np.bincount(tree, weights=term(pos),
+                                    minlength=n_replicas) + cred
         if g == n_max or tree.size == 0:
             break
 
@@ -266,15 +262,9 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
         if freeze_above is not None:
             drop |= cpos > freeze_above
         if drop.any():
-            dt = ctree[drop]
-            dp = cpos[drop]
-            credW += np.bincount(dt, weights=np.exp(rho_w * dp),
-                                 minlength=n_replicas)
-            creddW += np.bincount(dt, weights=-rho_star * dp * np.exp(rho_star * dp),
-                                  minlength=n_replicas)
-            if Mm is not None:
-                credM += np.bincount(dt, weights=np.exp(rho_minus * dp),
-                                     minlength=n_replicas)
+            dt, dp = ctree[drop], cpos[drop]
+            for cred, term in zip(creds, terms):
+                cred += np.bincount(dt, weights=term(dp), minlength=n_replicas)
             pruned_mass += float(lead[drop].sum())
             truncated |= over
         keep = ~drop
@@ -283,8 +273,10 @@ def martingale_levels(model, x: float, n_max: int, n_replicas: int, rng, *,
 
     alive_trees = np.zeros(n_replicas, bool)
     alive_trees[tree] = True
-    extinct = ~alive_trees & (credW == 0.0)
-    return MartingaleFlow(generations=np.arange(n_max + 1), W=W, dW=dW, M=Mm,
+    extinct = ~alive_trees & (creds[0] == 0.0)
+    W, dW, *M = cols
+    return MartingaleFlow(generations=np.arange(n_max + 1), W=W, dW=dW,
+                          M=M[0] if M else None,
                           extinct=extinct, truncated=truncated, rho_W=rho_w,
                           rho_star=rho_star, rho_minus=rho_minus,
                           pruned_mass_fraction=pruned_mass / max(total_mass, 1e-300))

@@ -643,6 +643,23 @@ class TestSpine:
                                "--replicas", 300, "--seed", 4, *extra)
 
 
+    # sha256 of summary.json, written by kbrw 0.9.0: a lattice run on its
+    # exact renewal table with a naive overlap, and a gaussian run on a
+    # --renewal-grid table; each books a band floor L > 0
+    @pytest.mark.parametrize("extra, pin", [
+        (["--model", "critical-lattice", "--t", 6, "--replicas", 2000,
+          "--naive-replicas", 20_000],
+         "13b01c2aa9d6db434e6a991f9b045cfd1cd361138567165feb8aad646ecf264e"),
+        (["--model", "critical-gaussian", "--x", 0.5, "--t", 8,
+          "--replicas", 300, "--renewal-grid", "0:14:0.5",
+          "--renewal-replicas", 300, "--band-eps", 1e-4],
+         "3f6fd5e5cc2d03e6802046e6ff7e8039fb4522bce4cdc1dc54b1ded91af4c6e2"),
+    ], ids=["critical-lattice-naive", "critical-gaussian-grid"])
+    def test_bytes_are_pinned(self, tmp_path, extra, pin):
+        out = tmp_path / "sp"
+        assert run_cli("spine", *extra, "--seed", 920, "--out", out) == 0
+        assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == pin
+
 class TestOracleCmd:
     def test_table_matches_direct_call(self, tmp_path):
         code = run_cli("oracle", "--model", "critical-lattice", "--depth", 5,
@@ -990,6 +1007,42 @@ class TestReport:
                 "0acfff114df58ce5480aa43f30f073df2ad8601c749167f1962e567c89339c34",
                 "f17079cb64c5660650c08b70242fd10e0f99e7eb6a06b44adf2eb7d599f8070a"),
         }
+
+    def test_spine_pairs_need_equal_starts(self, tmp_path):
+        # the scaled value carries R(x) e^{rho x}: t=4 from x=0 against t=8
+        # from x=1 read a ratio of 8.8, which is no check of the scaling
+        for x, t in ((0, 4), (1, 4), (1, 8)):
+            assert run_cli("spine", "--model", "critical-lattice", "--x", x,
+                           "--t", t, "--replicas", 2000, "--seed", 1,
+                           "--out", tmp_path / f"x{x}t{t}") == 0
+        for pair, want in ((("x0t4", "x1t8"), "SKIP"), (("x1t4", "x1t8"), "PASS")):
+            out = tmp_path / ("rep_" + "_".join(pair))
+            runs = ",".join(str(tmp_path / d) for d in pair)
+            assert run_cli("report", "--runs", runs, "--out", out) == 0
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            assert {r["criterion"]: r["status"] for r in rows}[8] == want, pair
+
+    def test_reruns_are_compared_within_one_code_version(self, tmp_path):
+        # two oracle runs; the second's alive_final then moves by its last
+        # bit, stamped by its own code version or by another one
+        for d in ("a", "b"):
+            assert run_cli("oracle", "--model", "critical-lattice",
+                           "--depth", 4, "--out", tmp_path / d) == 0
+        b = tmp_path / "b"
+        summary = json.loads((b / "summary.json").read_text())
+        summary["alive_final"] = float(np.nextafter(summary["alive_final"], 1.0))
+        data = json.dumps(summary).encode()
+        (b / "summary.json").write_bytes(data)
+        manifest = json.loads((b / "MANIFEST.json").read_text())
+        manifest["outputs"]["summary.json"] = hashlib.sha256(data).hexdigest()
+        for version, want in ((manifest["code_version"], "FAIL"), ("0.8.0", "SKIP")):
+            (b / "MANIFEST.json").write_text(
+                json.dumps(dict(manifest, code_version=version)))
+            out = tmp_path / f"rep_{version}"
+            assert run_cli("report", "--runs", f"{tmp_path / 'a'},{b}",
+                           "--out", out) == 0
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            assert {r["criterion"]: r["status"] for r in rows}[12] == want, version
 
     def test_missing_summary_is_config_error(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -7,10 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbrw.models import (
-    FixedOffspring,
-    IidModel,
     PatternModel,
-    TwoPointStep,
     critical_lattice_binary,
     two_point_subcritical,
 )
